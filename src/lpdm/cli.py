@@ -6,8 +6,9 @@ with exact arithmetic, and prints a single JSON envelope on stdout:
 {"code": ..., "message": ...}}``.  Stdout is byte-identical for
 identical inputs; timing and the selftest progress table go to stderr.
 
-Exit codes: 0 success, 1 domain error (or a failed selftest), 2 usage
-error (malformed JSON, bad flags).
+Exit codes: 0 success, 1 domain error (or a failed selftest, or an
+output file that cannot be written: code "io"), 2 usage error
+(malformed JSON, bad flags).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .oracle import count_lattice_points, ehrhart_volume, hull_membership
 from .paths import PathWord, path_from_subset, path_leq, skew_svg, subset_from_path
 from .perms import Permutation
 from .polytope import contains, dimension, face, hrep, intersect, is_linked, vertex_set
-from .selftest import run_selftest
 from .subsets import (
     cover_successors,
     count_maximal_chains,
@@ -371,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_selftest(ns) -> tuple[object, int, str]:
+    from .selftest import run_selftest  # only this command needs the registry
+
     rows = run_selftest(ns.max_n)
     width = max(len(r.name) for r in rows)
     lines = [
@@ -404,6 +406,8 @@ def run(argv: Sequence[str] | None = None) -> CommandResult:
             payload, status, code = _HANDLERS[(ns.group, ns.action)](ns), "ok", 0
     except LpdmError as exc:
         payload, status, code = {"code": exc.code, "message": str(exc)}, "error", 1
+    except OSError as exc:
+        payload, status, code = {"code": "io", "message": str(exc)}, "error", 1
     except UsageError as exc:
         payload, status, code = {"code": "usage", "message": str(exc)}, "error", 2
     return CommandResult(status, payload, (perf_counter() - start) * 1000.0, code, log)

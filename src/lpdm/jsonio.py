@@ -80,11 +80,10 @@ def parse_spec(obj) -> LpdmSpec:
 
 
 def spec_json(m: LpdmSpec) -> dict:
-    index = {g: i for i, g in enumerate(m.ground, start=1)}
     out = {
         "n": m.n,
-        "S": sorted(m.lower, key=lambda x: index[x]),
-        "T": sorted(m.upper, key=lambda x: index[x]),
+        "S": [m.ground[p - 1] for p in sorted(m.lower_mask().members)],
+        "T": [m.ground[p - 1] for p in sorted(m.upper_mask().members)],
     }
     if not m.standard_ground():
         out["ground"] = list(m.ground)

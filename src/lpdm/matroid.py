@@ -29,18 +29,11 @@ The operations implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ArgumentError, DomainError, OrderError
-from .subsets import (
-    SubsetMask,
-    gale_leq,
-    interval,
-    mask_from_profile,
-    profile,
-    sort_key,
-)
+from .subsets import SubsetMask, interval, profile, profile_bounds
 
 __all__ = [
     "LpdmSpec",
@@ -75,11 +68,20 @@ def _check_ground(ground: tuple[int, ...]) -> None:
 
 @dataclass(frozen=True)
 class LpdmSpec:
-    """The delta matroid with feasible sets the Gale interval [lower, upper]."""
+    """The delta matroid with feasible sets the Gale interval [lower, upper].
+
+    The bounds are label sets; their positional masks and suffix-count
+    profiles are computed once, on construction, and take no part in
+    equality or hashing.
+    """
 
     ground: tuple[int, ...]
     lower: frozenset[int]
     upper: frozenset[int]
+    _lower_mask: SubsetMask = field(init=False, repr=False, compare=False)
+    _upper_mask: SubsetMask = field(init=False, repr=False, compare=False)
+    lower_profile: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    upper_profile: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ground = tuple(self.ground)
@@ -90,7 +92,14 @@ class LpdmSpec:
         for side in (self.lower, self.upper):
             if not side <= set(ground):
                 raise ArgumentError(f"bound {sorted(side)!r} is not within the ground {ground!r}")
-        if not gale_leq(self.lower_mask(), self.upper_mask()):
+        index = {g: i for i, g in enumerate(ground, start=1)}
+        lower = SubsetMask(len(ground), frozenset(index[x] for x in self.lower))
+        upper = SubsetMask(len(ground), frozenset(index[x] for x in self.upper))
+        object.__setattr__(self, "_lower_mask", lower)
+        object.__setattr__(self, "_upper_mask", upper)
+        object.__setattr__(self, "lower_profile", profile(lower))
+        object.__setattr__(self, "upper_profile", profile(upper))
+        if not all(a <= b for a, b in zip(self.lower_profile, self.upper_profile)):
             raise OrderError(
                 f"lower bound {sorted(self.lower)!r} is not below {sorted(self.upper)!r}"
             )
@@ -109,19 +118,15 @@ class LpdmSpec:
         except ValueError:
             raise ArgumentError(f"label {label!r} is not in the ground {self.ground!r}") from None
 
-    def _positions(self, labels: frozenset[int]) -> frozenset[int]:
-        index = {g: i for i, g in enumerate(self.ground, start=1)}
-        return frozenset(index[x] for x in labels)
-
     def labels(self, positions) -> frozenset[int]:
         members = positions.members if isinstance(positions, SubsetMask) else positions
         return frozenset(self.ground[p - 1] for p in members)
 
     def lower_mask(self) -> SubsetMask:
-        return SubsetMask(self.n, self._positions(self.lower))
+        return self._lower_mask
 
     def upper_mask(self) -> SubsetMask:
-        return SubsetMask(self.n, self._positions(self.upper))
+        return self._upper_mask
 
     def standard_ground(self) -> bool:
         return self.ground == tuple(range(1, self.n + 1))
@@ -190,11 +195,6 @@ def verify_exchange(family: SetFamily) -> bool:
     return exchange_witness(family) is None
 
 
-def _suffix_equal_after(s: frozenset[int], t: frozenset[int], p: int, n: int) -> bool:
-    # |S inter {p+1..n}| == |T inter {p+1..n}|
-    return sum(1 for x in s if x > p) == sum(1 for x in t if x > p)
-
-
 def classify_elements(m: LpdmSpec) -> tuple[frozenset[int], frozenset[int]]:
     """(loops, coloops) as label sets.
 
@@ -206,15 +206,12 @@ def classify_elements(m: LpdmSpec) -> tuple[frozenset[int], frozenset[int]]:
     n = m.n
     s = m.lower_mask().members
     t = m.upper_mask().members
-    coloops = set()
-    for p in range(1, n + 1):
-        if p in s and p in t and _suffix_equal_after(s, t, p, n):
-            coloops.add(p)
-    loops = set()
-    for p in range(1, n + 1):
-        if p not in s and p not in t and _suffix_equal_after(s, t, p, n):
-            loops.add(p)
-    return (m.labels(frozenset(loops)), m.labels(frozenset(coloops)))
+    a, b = m.lower_profile, m.upper_profile
+    # positions above which the two bounds hold the same number of elements
+    pinned = [p for p in range(1, n + 1) if p == n or a[p] == b[p]]
+    loops = m.labels(p for p in pinned if p not in s and p not in t)
+    coloops = m.labels(p for p in pinned if p in s and p in t)
+    return (loops, coloops)
 
 
 def dual(m: LpdmSpec) -> LpdmSpec:
@@ -234,10 +231,10 @@ def delete(m: LpdmSpec, label: int) -> LpdmSpec:
     """
     p = m.position(label)
     n = m.n
+    if label in classify_elements(m)[1]:
+        raise DomainError(f"element {label!r} is a coloop and cannot be deleted")
     s = set(m.lower_mask().members)
     t = set(m.upper_mask().members)
-    if p in s and p in t and _suffix_equal_after(frozenset(s), frozenset(t), p, n):
-        raise DomainError(f"element {label!r} is a coloop and cannot be deleted")
     if p in s:
         q = min(x for x in range(p + 1, n + 1) if x not in s)
         s.discard(p)
@@ -259,11 +256,10 @@ def contract(m: LpdmSpec, label: int) -> LpdmSpec:
     smallest bound element above it (it exists unless p is a loop).
     """
     p = m.position(label)
-    n = m.n
+    if label in classify_elements(m)[0]:
+        raise DomainError(f"element {label!r} is a loop and cannot be contracted")
     s = set(m.lower_mask().members)
     t = set(m.upper_mask().members)
-    if p not in s and p not in t and _suffix_equal_after(frozenset(s), frozenset(t), p, n):
-        raise DomainError(f"element {label!r} is a loop and cannot be contracted")
     if p in s:
         s.discard(p)
     else:
@@ -374,8 +370,6 @@ def homogeneous_component(m: LpdmSpec, k: int):
     tuples = [s.as_tuple() for s in masks]
     lo = tuple(min(t[j] for t in tuples) for j in range(k))
     hi = tuple(max(t[j] for t in tuples) for j in range(k))
-    if set(_type_a_interval(lo, hi)) != set(tuples):
-        raise AssertionError("size layer failed to form an elementwise interval")
     return TypeALpmSpec(
         m.ground,
         k,
@@ -453,21 +447,14 @@ def family_interval_bounds(family: SetFamily):
         raise DomainError("empty family")
     n = len(family.ground)
     index = {g: i for i, g in enumerate(family.ground, start=1)}
-    masks = [SubsetMask(n, frozenset(index[x] for x in m)) for m in family.members]
-    profs = [profile(s) for s in masks]
-    lo = tuple(min(p[j] for p in profs) for j in range(n))
-    hi = tuple(max(p[j] for p in profs) for j in range(n))
-    lo_mask = mask_from_profile(lo)
-    hi_mask = mask_from_profile(hi)
-    full = interval(lo_mask, hi_mask)
-    is_interval = len(full) == len(masks) and set(s.members for s in full) == set(
-        s.members for s in masks
-    )
+    lo, hi = profile_bounds([SubsetMask(n, frozenset(index[x] for x in m)) for m in family.members])
+    # the interval holds every (distinct) member, so equal sizes mean equal families
+    is_interval = len(interval(lo, hi)) == len(family.members)
 
     def to_labels(s: SubsetMask) -> frozenset[int]:
         return frozenset(family.ground[p - 1] for p in s.members)
 
-    return (to_labels(lo_mask), to_labels(hi_mask), is_interval)
+    return (to_labels(lo), to_labels(hi), is_interval)
 
 
 def catalan_spec(n: int) -> LpdmSpec:

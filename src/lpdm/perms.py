@@ -20,9 +20,7 @@ __all__ = [
     "Permutation",
     "all_permutations",
     "chain_to_permutation",
-    "count_perms_with_ascent_set",
     "count_perms_with_descent_set",
-    "descent_ascent_sets",
     "eulerian_number",
     "permutation_to_chain",
 ]
@@ -77,10 +75,6 @@ def all_permutations(n: int):
         yield Permutation(images)
 
 
-def descent_ascent_sets(p: Permutation) -> tuple[SubsetMask, SubsetMask]:
-    return (p.descent_set(), p.ascent_set())
-
-
 def _normalize_descents(n: int, dset) -> tuple[int, ...]:
     if isinstance(dset, SubsetMask):
         members = sorted(dset.members)
@@ -122,15 +116,6 @@ def count_perms_with_descent_set(n: int, dset) -> int:
             sign = -1 if (len(members) - r) % 2 else 1
             total += sign * _perms_with_descents_inside(n, sub)
     return total
-
-
-def count_perms_with_ascent_set(n: int, aset) -> int:
-    """Number of permutations of [n] with ascent set exactly ``aset``.
-
-    Reversal swaps ascents and descents positionwise, so this equals the
-    descent count of the same set.
-    """
-    return count_perms_with_descent_set(n, aset)
 
 
 def eulerian_number(n: int, k: int) -> int:

@@ -18,13 +18,7 @@ from fractions import Fraction
 
 from .errors import ArgumentError
 from .matroid import LpdmSpec, SetFamily, contract, delete
-from .subsets import (
-    SubsetMask,
-    interval,
-    is_valid_profile,
-    mask_from_profile,
-    profile,
-)
+from .subsets import SubsetMask, interval, is_valid_profile, mask_from_profile, profile_bounds
 
 __all__ = [
     "Facet",
@@ -62,7 +56,7 @@ class HRep:
 
 
 def hrep(m: LpdmSpec) -> HRep:
-    return HRep(m.n, profile(m.lower_mask()), profile(m.upper_mask()))
+    return HRep(m.n, m.lower_profile, m.upper_profile)
 
 
 def _as_fractions(point, n: int) -> tuple[Fraction, ...]:
@@ -87,16 +81,12 @@ def contains(h: HRep, point) -> bool:
 
 def dimension(m: LpdmSpec) -> int:
     """n minus the number of indices where the two profiles agree."""
-    a = profile(m.lower_mask())
-    b = profile(m.upper_mask())
-    return m.n - sum(1 for x, y in zip(a, b) if x == y)
+    return m.n - sum(1 for x, y in zip(m.lower_profile, m.upper_profile) if x == y)
 
 
 def is_linked(m: LpdmSpec) -> bool:
     """Full-dimensional: the profiles differ at every index."""
-    a = profile(m.lower_mask())
-    b = profile(m.upper_mask())
-    return all(x < y for x, y in zip(a, b))
+    return all(x < y for x, y in zip(m.lower_profile, m.upper_profile))
 
 
 def intersect(m1: LpdmSpec, m2: LpdmSpec):
@@ -107,10 +97,8 @@ def intersect(m1: LpdmSpec, m2: LpdmSpec):
     """
     if m1.ground != m2.ground:
         raise ArgumentError("intersection needs a common ground")
-    a1, b1 = profile(m1.lower_mask()), profile(m1.upper_mask())
-    a2, b2 = profile(m2.lower_mask()), profile(m2.upper_mask())
-    c = tuple(max(x, y) for x, y in zip(a1, a2))
-    d = tuple(min(x, y) for x, y in zip(b1, b2))
+    c = tuple(map(max, m1.lower_profile, m2.lower_profile))
+    d = tuple(map(min, m1.upper_profile, m2.upper_profile))
     if any(x > y for x, y in zip(c, d)):
         return None
     return LpdmSpec(
@@ -168,24 +156,20 @@ class FaceResult:
     kind: str
 
 
-def _sub_spec(parent: LpdmSpec, positions: list[int], members: list[frozenset[int]]) -> LpdmSpec:
-    """Build the interval spec for a family of position-sets living on a
-    contiguous block of the parent ground; verifies it is an interval."""
-    ground = tuple(parent.ground[p - 1] for p in positions)
-    k = len(positions)
-    remap = {p: i for i, p in enumerate(positions, start=1)}
-    masks = [SubsetMask(k, frozenset(remap[x] for x in mem)) for mem in members]
-    profs = [profile(s) for s in masks]
-    lo = tuple(min(pr[j] for pr in profs) for j in range(k))
-    hi = tuple(max(pr[j] for pr in profs) for j in range(k))
-    lo_mask, hi_mask = mask_from_profile(lo), mask_from_profile(hi)
-    if set(s.members for s in interval(lo_mask, hi_mask)) != set(s.members for s in masks):
-        raise AssertionError("face factor is not a Gale interval")
-
-    def to_labels(s: SubsetMask) -> frozenset[int]:
-        return frozenset(ground[p - 1] for p in s.members)
-
-    return LpdmSpec(ground, to_labels(lo_mask), to_labels(hi_mask))
+def _block_spec(parent: LpdmSpec, start: int, stop: int, masks: list[SubsetMask]) -> LpdmSpec:
+    """The interval spec, on the parent positions start, ..., stop - 1,
+    spanned by the parts of the given feasible sets inside that block."""
+    ground = parent.ground[start - 1 : stop - 1]
+    parts = [
+        SubsetMask(stop - start, frozenset(x - start + 1 for x in s.members if start <= x < stop))
+        for s in masks
+    ]
+    lo, hi = profile_bounds(parts)
+    return LpdmSpec(
+        ground,
+        frozenset(ground[p - 1] for p in lo.members),
+        frozenset(ground[p - 1] for p in hi.members),
+    )
 
 
 def face(m: LpdmSpec, facet: Facet) -> FaceResult:
@@ -200,15 +184,13 @@ def face(m: LpdmSpec, facet: Facet) -> FaceResult:
         raise ArgumentError(f"facet index {facet.index} outside [1, {m.n}]")
     n = m.n
     i = facet.index
-    a = profile(m.lower_mask())
-    b = profile(m.upper_mask())
     masks = interval(m.lower_mask(), m.upper_mask())
 
     if facet.kind == "coordinate":
         keep = [s for s in masks if (i in s.members) == bool(facet.level)]
         kind = f"coordinate-{facet.level}"
     else:
-        target = a[i - 1] if facet.level == "lower" else b[i - 1]
+        target = (m.lower_profile if facet.level == "lower" else m.upper_profile)[i - 1]
         keep = [s for s in masks if sum(1 for x in s.members if x >= i) == target]
         kind = f"suffix-{facet.level}"
 
@@ -225,12 +207,5 @@ def face(m: LpdmSpec, facet: Facet) -> FaceResult:
             zero = LpdmSpec((label,), frozenset(), frozenset())
             factors = (zero, delete(m, label))
     else:
-        low_pos = list(range(1, i))
-        high_pos = list(range(i, n + 1))
-        low_members = [frozenset(x for x in s.members if x < i) for s in keep]
-        high_members = [frozenset(x for x in s.members if x >= i) for s in keep]
-        factors = (
-            _sub_spec(m, low_pos, low_members),
-            _sub_spec(m, high_pos, high_members),
-        )
+        factors = (_block_spec(m, 1, i, keep), _block_spec(m, i, n + 1, keep))
     return FaceResult(family, factors, kind)

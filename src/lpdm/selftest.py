@@ -7,18 +7,16 @@ sizes on their own, so passing a large cap is always safe.
 
 ``CHECKS`` lists every check in a fixed order; ``ACCEPTANCE`` names the
 twelve that gate a release, with the cap each one is expected to run at.
-``run_selftest`` drives any subset of the registry on a thread pool
-(size capped by the LPDM_THREADS environment variable) and reports
-results in registry order.  All sampling is seeded, so two runs of the
-same suite see the same instances.
+``run_selftest`` runs any subset of the registry, one check after
+another in the order requested; the checks are pure Python and
+CPU-bound, so they would gain nothing from threads.  All sampling is
+seeded, so two runs of the same suite see the same instances.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -69,9 +67,7 @@ from .perms import (
     Permutation,
     all_permutations,
     chain_to_permutation,
-    count_perms_with_ascent_set,
     count_perms_with_descent_set,
-    descent_ascent_sets,
     eulerian_number,
     permutation_to_chain,
 )
@@ -83,7 +79,6 @@ from .subsets import (
     cover_successors,
     count_maximal_chains,
     gale_leq,
-    gale_leq_definitional,
     gale_rank,
     interval,
     is_valid_profile,
@@ -190,6 +185,20 @@ def _max_chains(lower: SubsetMask, upper: SubsetMask) -> list[list[SubsetMask]]:
 
 
 # ---------------------------------------------------------------- order
+
+
+def gale_leq_definitional(s: SubsetMask, t: SubsetMask) -> bool:
+    """Pairwise form of the order: |S| <= |T| and, with both sets written
+    in increasing order, the i-th largest element of S is at most the
+    i-th largest element of T.  The reference that ``gale_leq`` is
+    checked against."""
+    if s.n != t.n:
+        raise ArgumentError(f"mismatched ground sizes {s.n} and {t.n}")
+    a, b = s.as_tuple(), t.as_tuple()
+    j, k = len(a), len(b)
+    if j > k:
+        return False
+    return all(a[j - i] <= b[k - i] for i in range(1, j + 1))
 
 
 def order_axioms(cap: int) -> str:
@@ -315,14 +324,15 @@ def chain_counts(cap: int) -> str:
 
 def descent_statistics(cap: int) -> str:
     """Inclusion-exclusion descent counts match enumeration; ascent
-    counts and Eulerian numbers line up."""
+    classes have the same sizes (reversal swaps ascents and descents),
+    and Eulerian numbers line up."""
     hi = min(cap, 6)
     for n in range(0, hi + 1):
         by_desc: dict[frozenset[int], int] = {}
         by_asc: dict[frozenset[int], int] = {}
         by_size: dict[int, int] = {}
         for w in all_permutations(n):
-            d, a = descent_ascent_sets(w)
+            d, a = w.descent_set(), w.ascent_set()
             _ok(d.members | a.members == frozenset(range(1, n)), f"{w!r} statistics do not partition")
             _ok(not (d.members & a.members), f"{w!r} statistics overlap")
             by_desc[d.members] = by_desc.get(d.members, 0) + 1
@@ -333,7 +343,7 @@ def descent_statistics(cap: int) -> str:
             beta = count_perms_with_descent_set(n, s.members)
             _ok(beta == by_desc.get(s.members, 0), f"descent count wrong at n={n}, S={sorted(s.members)}")
             _ok(
-                count_perms_with_ascent_set(n, s.members) == by_asc.get(s.members, 0),
+                beta == by_asc.get(s.members, 0),
                 f"ascent count wrong at n={n}, S={sorted(s.members)}",
             )
             total += beta
@@ -924,8 +934,9 @@ def chain_bijection(cap: int) -> str:
         chain_to_permutation(GaleChain(steps1)).images == (3, 2, 5, 4, 6, 1),
         "worked chain decodes to the wrong permutation",
     )
+    worked = Permutation((3, 2, 5, 4, 6, 1))
     _ok(
-        descent_ascent_sets(Permutation((3, 2, 5, 4, 6, 1)))
+        (worked.descent_set(), worked.ascent_set())
         == (SubsetMask(5, frozenset({1, 3, 5})), SubsetMask(5, frozenset({2, 4}))),
         "worked permutation statistics wrong",
     )
@@ -1118,21 +1129,10 @@ class CheckResult:
     seconds: float
 
 
-def _thread_count(jobs: int) -> int:
-    raw = os.environ.get("LPDM_THREADS", "").strip()
-    if raw:
-        try:
-            k = int(raw)
-        except ValueError:
-            k = 1
-    else:
-        k = min(4, os.cpu_count() or 1)
-    return max(1, min(k, jobs))
-
-
 def run_selftest(max_n: int = 5, names=None) -> list[CheckResult]:
-    """Run the named checks (default: all) with ground sizes up to
-    ``max_n``, in registry order."""
+    """Run the named checks (default: all, in registry order) with
+    ground sizes up to ``max_n``, one after another; results come back
+    in the order run."""
     if max_n < 1:
         raise ArgumentError("max_n must be at least 1")
     if names is None:
@@ -1143,8 +1143,8 @@ def run_selftest(max_n: int = 5, names=None) -> list[CheckResult]:
             raise ArgumentError(f"unknown checks: {', '.join(missing)}")
         chosen = [(x, _BY_NAME[x]) for x in names]
 
-    def run_one(item) -> CheckResult:
-        name, fn = item
+    rows = []
+    for name, fn in chosen:
         start = perf_counter()
         try:
             detail = fn(max_n)
@@ -1153,7 +1153,5 @@ def run_selftest(max_n: int = 5, names=None) -> list[CheckResult]:
             detail, passed = str(exc), False
         except Exception as exc:  # a crash is a failure, not an abort
             detail, passed = f"{type(exc).__name__}: {exc}", False
-        return CheckResult(name, passed, detail, perf_counter() - start)
-
-    with ThreadPoolExecutor(max_workers=_thread_count(len(chosen))) as pool:
-        return list(pool.map(run_one, chosen))
+        rows.append(CheckResult(name, passed, detail, perf_counter() - start))
+    return rows

@@ -11,9 +11,10 @@ Gale order used throughout this package is suffix-count dominance:
     S <= T   iff   profile(S)_i <= profile(T)_i for every i,
 
 which agrees with the classical pairwise definition (largest elements
-compared first; see ``gale_leq_definitional``).  The order is graded by
-``gale_rank`` (the element sum), and intervals [S, T] in it are the
-feasible-set families of everything built on top of this module.
+compared first; ``lpdm.selftest`` keeps that form as a reference).  The
+order is graded by ``gale_rank`` (the element sum), and intervals [S, T]
+in it are the feasible-set families of everything built on top of this
+module.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ __all__ = [
     "cover_successors",
     "count_maximal_chains",
     "gale_leq",
-    "gale_leq_definitional",
     "gale_rank",
     "interval",
     "is_valid_profile",
     "mask_from_profile",
     "profile",
+    "profile_bounds",
     "sort_key",
 ]
 
@@ -135,17 +136,14 @@ def gale_leq(s: SubsetMask, t: SubsetMask) -> bool:
     return all(a <= b for a, b in zip(profile(s), profile(t)))
 
 
-def gale_leq_definitional(s: SubsetMask, t: SubsetMask) -> bool:
-    """Pairwise form of the order: |S| <= |T| and, with both sets written
-    in increasing order, the i-th largest element of S is at most the
-    i-th largest element of T.  Kept as an independent cross-check of
-    ``gale_leq``."""
-    _require_same_n(s, t)
-    a, b = s.as_tuple(), t.as_tuple()
-    j, k = len(a), len(b)
-    if j > k:
-        return False
-    return all(a[j - i] <= b[k - i] for i in range(1, j + 1))
+def profile_bounds(masks) -> tuple[SubsetMask, SubsetMask]:
+    """The componentwise minimum and maximum of the profiles of a
+    nonempty list of subsets of [n]: the bounds of the smallest Gale
+    interval that holds them all."""
+    profs = [profile(s) for s in masks]
+    lo = tuple(min(col) for col in zip(*profs))
+    hi = tuple(max(col) for col in zip(*profs))
+    return mask_from_profile(lo), mask_from_profile(hi)
 
 
 def gale_rank(s: SubsetMask) -> int:
@@ -160,24 +158,18 @@ def interval(lower: SubsetMask, upper: SubsetMask) -> list[SubsetMask]:
         raise OrderError(f"{lower!r} is not below {upper!r} in the Gale order")
     n = lower.n
     a, b = profile(lower), profile(upper)
+    # Choose membership from position n down; c = |A inter {i+1, ..., n}|.
     found: list[SubsetMask] = []
-    acc: list[int] = []
-
-    def grow(i: int, count: int) -> None:
-        # count = size of the part of A chosen so far inside {i+1, ..., n}
+    stack: list[tuple[int, int, frozenset[int]]] = [(n, 0, frozenset())]
+    while stack:
+        i, c, acc = stack.pop()
         if i == 0:
-            found.append(SubsetMask(n, frozenset(acc)))
-            return
-        for take in (0, 1):
-            c = count + take
-            if a[i - 1] <= c <= b[i - 1]:
-                if take:
-                    acc.append(i)
-                grow(i - 1, c)
-                if take:
-                    acc.pop()
-
-    grow(n, 0)
+            found.append(SubsetMask(n, acc))
+            continue
+        if a[i - 1] <= c <= b[i - 1]:
+            stack.append((i - 1, c, acc))
+        if a[i - 1] <= c + 1 <= b[i - 1]:
+            stack.append((i - 1, c + 1, acc | {i}))
     found.sort(key=sort_key)
     return found
 
@@ -199,24 +191,17 @@ def count_maximal_chains(lower: SubsetMask, upper: SubsetMask) -> int:
     _require_same_n(lower, upper)
     if not gale_leq(lower, upper):
         raise OrderError(f"{lower!r} is not below {upper!r} in the Gale order")
-    n = lower.n
-    target = upper.members
-    memo: dict[frozenset[int], int] = {}
-
-    def walk(ms: frozenset[int]) -> int:
-        if ms == target:
-            return 1
-        got = memo.get(ms)
-        if got is not None:
-            return got
-        total = 0
-        for nxt in cover_successors(SubsetMask(n, ms)):
-            if gale_leq(nxt, upper):
-                total += walk(nxt.members)
-        memo[ms] = total
-        return total
-
-    return walk(lower.members)
+    # every cover raises the rank by one, so the chains reach upper after
+    # exactly this many steps, and nothing else below upper has its rank
+    ways = {lower.members: 1}
+    for _ in range(gale_rank(upper) - gale_rank(lower)):
+        step: dict[frozenset[int], int] = {}
+        for ms, count in ways.items():
+            for nxt in cover_successors(SubsetMask(lower.n, ms)):
+                if gale_leq(nxt, upper):
+                    step[nxt.members] = step.get(nxt.members, 0) + count
+        ways = step
+    return ways[upper.members]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import lpdm
 
 from lpdm.cli import CommandResult, main, run
 
@@ -148,6 +153,25 @@ def test_render_writes_svg(tmp_path, capsys):
     assert envelope["payload"]["written"] == str(target)
     text = target.read_text(encoding="utf-8")
     assert text.startswith("<svg ") and envelope["payload"]["bytes"] == len(text.encode())
+
+
+def test_render_into_missing_directory_is_io_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.svg"
+    assert main(["render", '{"n": 3, "S": [1], "T": [2, 3]}', "--svg", str(target)]) == 1
+    envelope, _ = payload_of(capsys)
+    assert envelope["status"] == "error" and envelope["error"]["code"] == "io"
+    assert not target.exists()
+
+
+def test_cli_import_leaves_selftest_unloaded():
+    src = str(Path(lpdm.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import lpdm.cli; "
+        "print(sorted({'lpdm.selftest', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_selftest_smallest_cap(capsys):

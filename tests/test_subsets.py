@@ -11,7 +11,6 @@ from lpdm import (
     count_maximal_chains,
     cover_successors,
     gale_leq,
-    gale_leq_definitional,
     gale_rank,
     interval,
     is_valid_profile,
@@ -19,6 +18,7 @@ from lpdm import (
     profile,
     sort_key,
 )
+from lpdm.selftest import gale_leq_definitional
 
 
 def mask(n, *members):
@@ -102,6 +102,15 @@ def test_interval_worked():
     got = interval(mask(3, 1), mask(3, 1, 3))
     assert [s.as_tuple() for s in got] == [(1,), (2,), (3,), (1, 2), (1, 3)]
     assert [sort_key(s) for s in got] == sorted(sort_key(s) for s in got)
+
+
+def test_interval_and_chains_on_a_deep_ground():
+    # the ground is deeper than the interpreter's recursion limit
+    low, high = mask(1200), mask(1200, 1200)
+    got = interval(low, high)
+    assert len(got) == 1201
+    assert got[0] == low and got[-1] == high
+    assert count_maximal_chains(low, high) == 1
 
 
 def test_interval_rejects_incomparable():
