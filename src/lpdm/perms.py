@@ -5,24 +5,29 @@ Saturated chains from S to S u {n} in the Gale order (S a subset of
 exactly S.  The bijection: reading a chain step by step, the move
 "slide l-1 to l" (or "adjoin 1" when l = 1) happens exactly once for
 each l in [n]; record at which step it happens and call that w(l).
+
+Every descent count here (one descent set, a Gale interval of them, a
+number of descents) comes from one transfer-matrix table over suffixes,
+``_descent_layers``, in O(n^3) integer additions.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError, DomainError
-from .subsets import GaleChain, SubsetMask
+from .subsets import GaleChain, SubsetMask, profile
 
 __all__ = [
     "Permutation",
     "all_permutations",
     "chain_to_permutation",
+    "count_perms_in_descent_box",
     "count_perms_with_descent_set",
     "eulerian_number",
     "permutation_to_chain",
+    "perms_with_descent_set",
 ]
 
 
@@ -86,36 +91,105 @@ def _normalize_descents(n: int, dset) -> tuple[int, ...]:
     return tuple(members)
 
 
-def _perms_with_descents_inside(n: int, cut: tuple[int, ...]) -> int:
-    # multinomial: permutations whose descent set is contained in `cut`
-    parts = []
-    prev = 0
-    for c in cut + (n,):
-        parts.append(c - prev)
-        prev = c
-    out = math.factorial(n)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
+def _descent_layers(lo, hi):
+    """The transfer-matrix table behind every descent count here.
+
+    Permutations are built right to left.  For k = 1, ..., n, yield the
+    layer of suffixes of length k, i.e. positions i = n-k+1, ..., n: a
+    dict sending d to a list whose entry r-1 counts the arrangements of
+    k values in which the first is the r-th smallest, d of the positions
+    i, ..., n-1 are descents, and lo_j <= (descents at positions j, ...,
+    n-1) <= hi_j holds for every j >= i.  Placing a new first value of
+    rank r' above the old first value (rank r < r') makes a descent, so
+    each step is one prefix sum per d (de Bruijn 1970; Stanley, EC1
+    section 1.4), and the whole table costs O(n^3) additions.
+    """
+    n = len(lo)
+    layer = {0: [1]} if lo[n - 1] <= 0 <= hi[n - 1] else {}
+    yield layer
+    for i in range(n - 1, 0, -1):
+        a, b = lo[i - 1], hi[i - 1]
+        nxt: dict[int, list[int]] = {}
+        for d, row in layer.items():
+            below = list(itertools.accumulate(row, initial=0))
+            if a <= d <= b:
+                total = below[-1]
+                _add_row(nxt, d, [total - x for x in below])
+            if a <= d + 1 <= b:
+                _add_row(nxt, d + 1, below)
+        layer = nxt
+        yield layer
+
+
+def _add_row(layer: dict[int, list[int]], d: int, row: list[int]) -> None:
+    old = layer.get(d)
+    layer[d] = row if old is None else [x + y for x, y in zip(old, row)]
+
+
+def count_perms_in_descent_box(lo, hi) -> int:
+    """Number of permutations of [n], n = len(lo), whose descent set D
+    satisfies lo_i <= |D inter [i, n-1]| <= hi_i for every i in [n].
+
+    With lo and hi the profiles of subsets of [n-1] this counts the
+    permutations whose descent set lies in that Gale interval.
+    """
+    lo, hi = tuple(lo), tuple(hi)
+    if len(lo) != len(hi):
+        raise ArgumentError("lo and hi must have the same length")
+    if not lo:
+        return 1
+    for layer in _descent_layers(lo, hi):
+        if not layer:
+            return 0
+    return sum(sum(row) for row in layer.values())
+
+
+def _descent_profile(n: int, dset) -> tuple[int, ...]:
+    """|dset inter [i, n-1]| for i = 1, ..., n."""
+    return profile(SubsetMask(n, frozenset(_normalize_descents(max(n, 1), dset))))
 
 
 def count_perms_with_descent_set(n: int, dset) -> int:
-    """Number of permutations of [n] with descent set exactly ``dset``.
+    """Number of permutations of [n] with descent set exactly ``dset``."""
+    if n < 0:
+        raise ArgumentError("n must be non-negative")
+    prof = _descent_profile(n, dset)
+    return count_perms_in_descent_box(prof, prof)
 
-    Inclusion-exclusion over the multinomials that count permutations
-    with descents contained in a given set.
+
+def perms_with_descent_set(n: int, dset):
+    """The permutations of [n] with descent set exactly ``dset``, in
+    lexicographic order.
+
+    Values are chosen left to right, and a branch is taken only when the
+    suffix table of ``count_perms_with_descent_set`` counts a completion
+    for it, so no branch dies: the work follows the output, not n!.
     """
     if n < 0:
         raise ArgumentError("n must be non-negative")
+    prof = _descent_profile(n, dset)
     if n == 0:
-        return 1 if not _normalize_descents(1, dset) else 0
-    members = _normalize_descents(n, dset)
-    total = 0
-    for r in range(len(members) + 1):
-        for sub in itertools.combinations(members, r):
-            sign = -1 if (len(members) - r) % 2 else 1
-            total += sign * _perms_with_descents_inside(n, sub)
-    return total
+        yield Permutation(())
+        return
+    layers = list(_descent_layers(prof, prof))
+    # a state (values left, prefix, r, d): the next value is the r-th
+    # smallest left, and the suffix it starts has d descents; with the
+    # descent set fixed, each layer holds a single d
+    [(d, row)] = layers[-1].items()
+    stack = [(tuple(range(1, n + 1)), (), r, d) for r in range(len(row), 0, -1) if row[r - 1]]
+    while stack:
+        left, prefix, r, d = stack.pop()
+        prefix += (left[r - 1],)
+        left = left[: r - 1] + left[r:]
+        if not left:
+            yield Permutation(prefix)
+            continue
+        below = layers[len(left) - 1]
+        for r2 in range(len(left), 0, -1):
+            d2 = d - 1 if r2 < r else d
+            row = below.get(d2)
+            if row and row[r2 - 1]:
+                stack.append((left, prefix, r2, d2))
 
 
 def eulerian_number(n: int, k: int) -> int:
@@ -124,15 +198,7 @@ def eulerian_number(n: int, k: int) -> int:
         raise ArgumentError("n must be non-negative")
     if k < 0 or k >= max(n, 1):
         return 0
-    row = [1]
-    for m in range(2, n + 1):
-        prev = row
-        row = [0] * m
-        for j in range(m):
-            row[j] = (j + 1) * (prev[j] if j < m - 1 else 0) + (m - j) * (prev[j - 1] if j >= 1 else 0)
-        # row built from A(m-1, .)
-        row = row[: m]
-    return row[k] if k < len(row) else 0
+    return count_perms_in_descent_box((k,) + (0,) * (n - 1), (k,) + (n,) * (n - 1))
 
 
 def chain_to_permutation(chain: GaleChain) -> Permutation:

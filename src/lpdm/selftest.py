@@ -323,7 +323,7 @@ def chain_counts(cap: int) -> str:
 
 
 def descent_statistics(cap: int) -> str:
-    """Inclusion-exclusion descent counts match enumeration; ascent
+    """Transfer-matrix descent counts match enumeration; ascent
     classes have the same sizes (reversal swaps ascents and descents),
     and Eulerian numbers line up."""
     hi = min(cap, 6)

@@ -192,13 +192,17 @@ def count_maximal_chains(lower: SubsetMask, upper: SubsetMask) -> int:
     if not gale_leq(lower, upper):
         raise OrderError(f"{lower!r} is not below {upper!r} in the Gale order")
     # every cover raises the rank by one, so the chains reach upper after
-    # exactly this many steps, and nothing else below upper has its rank
+    # exactly this many steps, and nothing else below upper has its rank;
+    # a cover that adds e raises only the profile entry at e, so a
+    # successor of a set below upper stays below iff that entry does
+    top = profile(upper)
     ways = {lower.members: 1}
     for _ in range(gale_rank(upper) - gale_rank(lower)):
         step: dict[frozenset[int], int] = {}
         for ms, count in ways.items():
             for nxt in cover_successors(SubsetMask(lower.n, ms)):
-                if gale_leq(nxt, upper):
+                (e,) = nxt.members - ms
+                if sum(1 for x in nxt.members if x >= e) <= top[e - 1]:
                     step[nxt.members] = step.get(nxt.members, 0) + count
         ways = step
     return ways[upper.members]

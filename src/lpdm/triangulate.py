@@ -12,9 +12,12 @@ under the volume-preserving change of coordinates
 Each image simplex is unimodular, and all of it lies inside exactly one
 "snake" cell: a polytope with bounds [S, S u {n}] for a unique subset S
 of [n-1] (``simplex_cell``).  Collecting the simplices of a cell
-triangulates it (``triangulate_toric``); counting them per cell and
-summing over the cells of ``subdivide`` yields exact volumes for every
-linked interval polytope (``volume``).
+triangulates it (``triangulate_toric``).  The simplex of w lies in the
+cell of S exactly when w^{-1} has descent set {n - s : s in S}, so a
+linked interval polytope with bounds [S, T], a union of the cells
+[R, R u {n}] for R between S and T minus n (``subdivide``), has volume
+(number of permutations whose descent set lies in that interval) / n!,
+counted in O(n^3) (``volume``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 from .errors import ArgumentError, DomainError
 from .matroid import LpdmSpec
-from .perms import Permutation, all_permutations, count_perms_with_descent_set
+from .perms import Permutation, count_perms_in_descent_box, perms_with_descent_set
 from .polytope import is_linked
 from .subsets import SubsetMask, interval, mask_from_profile
 
@@ -136,15 +139,13 @@ def is_toric(m: LpdmSpec) -> bool:
 
 def triangulate_toric(m: LpdmSpec) -> list[LatticeSimplex]:
     """All Eulerian simplices lying in the given cell, sorted by their
-    permutations."""
+    permutations: those of w = u^{-1} for the u with descent set
+    {n - s : s in S}."""
     if not is_toric(m):
         raise DomainError("spec is not a toric cell [S, S u {n}]")
-    s = m.lower_mask().members
-    out = [
-        eulerian_simplex(w)
-        for w in all_permutations(m.n)
-        if simplex_cell(w).members == s
-    ]
+    n = m.n
+    descents = [n - s for s in m.lower_mask().members]
+    out = [eulerian_simplex(u.inverse()) for u in perms_with_descent_set(n, descents)]
     out.sort(key=lambda simp: simp.perm.images)
     return out
 
@@ -177,15 +178,14 @@ def volume(m: LpdmSpec) -> Fraction:
     """Exact Euclidean volume of the polytope.
 
     Zero when the spec is not linked (the polytope is then lower
-    dimensional); otherwise each cell [R, R u {n}] of the subdivision
-    contributes one unimodular simplex per permutation with descent set
-    R, hence cell volume (number of such permutations) / n!.
+    dimensional).  Otherwise each cell [R, R u {n}] of the subdivision
+    holds one unimodular simplex per permutation with descent set R, so
+    the volume is the number of permutations whose descent set lies in
+    the Gale interval [S, T minus n] over n!: one transfer-matrix count
+    with the bounds lower profile <= descent profile <= upper profile - 1
+    (a linked T contains n).
     """
     if not is_linked(m):
         return Fraction(0)
-    n = m.n
-    total = 0
-    for cell in subdivide(m).cells:
-        r = cell.lower_mask().members
-        total += count_perms_with_descent_set(n, r)
-    return Fraction(total, math.factorial(n))
+    hi = tuple(b - 1 for b in m.upper_profile)
+    return Fraction(count_perms_in_descent_box(m.lower_profile, hi), math.factorial(m.n))

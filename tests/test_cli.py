@@ -72,6 +72,20 @@ def test_tri_volume_and_label(capsys):
     assert envelope["payload"] == {"S": [2, 4, 5], "n": 6}
 
 
+def test_tri_volume_of_the_60_cube(capsys):
+    spec = json.dumps({"n": 60, "S": [], "T": list(range(1, 61))})
+    assert main(["tri", "volume", spec]) == 0
+    envelope, _ = payload_of(capsys)
+    assert envelope == {"status": "ok", "payload": "1/1"}
+
+
+def test_tri_simplices_at_n11(capsys):
+    assert main(["tri", "simplices", '{"n": 11, "S": [], "T": [11]}']) == 0
+    envelope, _ = payload_of(capsys)
+    assert envelope["payload"]["count"] == 1
+    assert envelope["payload"]["simplices"][0]["perm"] == list(range(1, 12))
+
+
 def test_oracle_count_dilation(capsys):
     assert main(["oracle", "count", '{"n": 3, "S": [], "T": [1, 2, 3]}', "--t", "2"]) == 0
     envelope, _ = payload_of(capsys)

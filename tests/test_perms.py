@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -6,14 +8,43 @@ from lpdm import (
     ArgumentError,
     DomainError,
     GaleChain,
+    LpdmSpec,
     Permutation,
     SubsetMask,
     all_permutations,
+    all_subsets,
     chain_to_permutation,
+    count_perms_in_descent_box,
     count_perms_with_descent_set,
     eulerian_number,
+    gale_leq,
+    is_linked,
     permutation_to_chain,
+    perms_with_descent_set,
+    subdivide,
+    volume,
 )
+
+
+def beta_reference(n, dset):
+    """Permutations of [n] with descent set exactly ``dset``, by
+    inclusion-exclusion: the permutations whose descents lie inside a
+    set {c_1 < ... < c_r} number the multinomial n! / (c_1! (c_2 -
+    c_1)! ... (n - c_r)!)."""
+    members = sorted(dset)
+    total = 0
+    for r in range(len(members) + 1):
+        for cut in itertools.combinations(members, r):
+            inside = math.factorial(n)
+            for lo, hi in zip((0,) + cut, cut + (n,)):
+                inside //= math.factorial(hi - lo)
+            total += (-1) ** (len(members) - r) * inside
+    return total
+
+
+def eulerian_closed_form(n, k):
+    """A(n, k) = sum over j of (-1)^j C(n+1, j) (k+1-j)^n."""
+    return sum((-1) ** j * math.comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 2))
 
 
 def test_permutation_validates():
@@ -42,7 +73,7 @@ def test_descents_and_ascents_worked():
 
 
 def test_descent_set_counts():
-    # inclusion-exclusion over compositions
+    # worked values; the classes of S_5 add up to 5!
     assert count_perms_with_descent_set(6, frozenset({1, 3, 5})) == 61
     assert count_perms_with_descent_set(3, frozenset({1})) == 2
     assert count_perms_with_descent_set(5, frozenset()) == 1
@@ -63,10 +94,71 @@ def test_ascent_counts_match_descent_counts():
         assert by_ascents == count_perms_with_descent_set(4, frozenset(s))
 
 
+def test_descent_set_count_validates():
+    with pytest.raises(ArgumentError):
+        count_perms_with_descent_set(4, {4})
+    with pytest.raises(ArgumentError):
+        count_perms_with_descent_set(-1, ())
+    with pytest.raises(ArgumentError):
+        count_perms_with_descent_set(0, {1})
+    assert count_perms_with_descent_set(0, ()) == 1
+    with pytest.raises(ArgumentError):
+        count_perms_in_descent_box((0, 0), (1,))
+
+
+def test_descent_set_counts_match_reference():
+    for n in range(1, 8):
+        for s in all_subsets(n - 1):
+            assert count_perms_with_descent_set(n, s.members) == beta_reference(n, s.members)
+
+
+def test_perms_with_descent_set_match_enumeration():
+    for n in range(0, 7):
+        by_desc = {}
+        for w in all_permutations(n):
+            by_desc.setdefault(w.descent_set().members, []).append(w)
+        for s in all_subsets(max(n - 1, 0)):
+            got = list(perms_with_descent_set(n, s.members))
+            assert got == by_desc.get(s.members, [])
+
+
+def test_volume_matches_reference_cell_sum():
+    # volume is one count over a Gale interval of descent sets; the
+    # reference counts each cell [R, R u {n}] of the subdivision apart
+    for n in range(1, 7):
+        masks = list(all_subsets(n))
+        for s in masks:
+            for t in masks:
+                if not gale_leq(s, t):
+                    continue
+                m = LpdmSpec.of(n, s.members, t.members)
+                if not is_linked(m):
+                    assert volume(m) == 0
+                    continue
+                cells = subdivide(m).cells
+                want = sum(beta_reference(n, c.lower_mask().members) for c in cells)
+                assert volume(m) == Fraction(want, math.factorial(n))
+
+
 def test_eulerian_numbers():
     assert [eulerian_number(4, k) for k in range(4)] == [1, 11, 11, 1]
     assert eulerian_number(5, 2) == 66
     assert sum(eulerian_number(6, k) for k in range(6)) == 720
+    assert eulerian_number(0, 0) == 1 and eulerian_number(4, 4) == 0 and eulerian_number(4, -1) == 0
+
+
+def test_eulerian_numbers_match_closed_form():
+    for n in range(1, 26):
+        for k in range(n):
+            assert eulerian_number(n, k) == eulerian_closed_form(n, k)
+
+
+def test_hypersimplex_slab_volumes_at_n25():
+    # the slab k-1 <= x_1 + ... + x_n <= k has volume A(n, k-1) / n!
+    n = 25
+    for k in range(1, n + 1):
+        m = LpdmSpec.of(n, range(1, k), range(n - k + 1, n + 1))
+        assert volume(m) == Fraction(eulerian_closed_form(n, k - 1), math.factorial(n))
 
 
 def test_all_permutations_complete():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,13 @@ from lpdm import (
     LpdmSpec,
     Permutation,
     all_permutations,
+    all_subsets,
     ehrhart_volume,
     eulerian_simplex,
     fractional_prefix_sums,
     hrep,
     is_toric,
+    mask_from_profile,
     simplex_cell,
     simplex_volume,
     subdivide,
@@ -103,6 +106,21 @@ def test_triangulate_toric_worked():
         triangulate_toric(LpdmSpec.of(3, (), {1, 2, 3}))
 
 
+def test_triangulate_toric_matches_label_filter():
+    for n in range(1, 6):
+        perms = list(all_permutations(n))
+        for s in all_subsets(n - 1):
+            want = [w.images for w in perms if simplex_cell(w).members == s.members]
+            got = triangulate_toric(LpdmSpec.of(n, s.members, s.members | {n}))
+            assert [x.perm.images for x in got] == want
+
+
+def test_triangulate_toric_is_output_sensitive():
+    # the bottom cell of the 11-cube holds only the identity's simplex
+    (simp,) = triangulate_toric(LpdmSpec.of(11, (), {11}))
+    assert simp.perm == Permutation.identity(11)
+
+
 def test_subdivide_cube():
     sub = subdivide(LpdmSpec.of(3, (), {1, 2, 3}))
     assert [(sorted(c.lower), sorted(c.upper)) for c in sub.cells] == [
@@ -127,3 +145,28 @@ def test_volume_worked():
 def test_volume_matches_lattice_count_route(specs_n3):
     for m in specs_n3:
         assert volume(m) == ehrhart_volume(hrep(m))
+
+
+def test_volume_of_the_point():
+    m = LpdmSpec.of(0)
+    assert volume(m) == 1 == ehrhart_volume(hrep(m))
+
+
+def random_linked_spec(rng, n):
+    """Profiles a < b drawn position by position from n down."""
+    a, b = [0], [1]
+    for _ in range(n - 1):
+        steps = [(x, y) for x in (0, 1) for y in (0, 1) if a[-1] + x < b[-1] + y]
+        x, y = rng.choice(steps)
+        a.append(a[-1] + x)
+        b.append(b[-1] + y)
+    lower, upper = mask_from_profile(a[::-1]), mask_from_profile(b[::-1])
+    return LpdmSpec.of(n, lower.members, upper.members)
+
+
+def test_volume_matches_lattice_count_route_beyond_enumeration():
+    rng = random.Random(20231126)
+    for n in range(8, 21):
+        for _ in range(4):
+            m = random_linked_spec(rng, n)
+            assert volume(m) == ehrhart_volume(hrep(m))
