@@ -333,33 +333,21 @@ _HANDLERS: dict[tuple[str, str], Callable] = {
     ("oracle", "member"): _oracle_member,
 }
 
-_ACTIONS = {
-    "order": ("leq", "rank", "interval", "chains", "covers"),
-    "path": ("encode", "decode", "leq"),
-    "matroid": (
-        "feasible", "axiom", "loops", "dual", "delete", "contract",
-        "sum", "component", "envelope", "project",
-    ),
-    "polytope": ("hrep", "dim", "contains", "intersect", "face", "vertices"),
-    "tri": ("simplices", "label", "subdivide", "volume"),
-    "oracle": ("volume", "count", "member"),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpdm",
         description="Exact computations with lattice path interval families and their polytopes.",
     )
     tops = parser.add_subparsers(dest="group", required=True)
-    for group, actions in _ACTIONS.items():
-        gp = tops.add_parser(group, help=f"{group} subcommands")
-        acts = gp.add_subparsers(dest="action", required=True)
-        for action in actions:
-            ap = acts.add_parser(action)
-            ap.add_argument("json", help="JSON input document")
-            if (group, action) == ("oracle", "count"):
-                ap.add_argument("--t", type=int, default=1, help="dilation factor (default 1)")
+    groups = {}  # group name -> the subparsers of its actions
+    for group, action in _HANDLERS:
+        if group not in groups:
+            gp = tops.add_parser(group, help=f"{group} subcommands")
+            groups[group] = gp.add_subparsers(dest="action", required=True)
+        ap = groups[group].add_parser(action)
+        ap.add_argument("json", help="JSON input document")
+        if (group, action) == ("oracle", "count"):
+            ap.add_argument("--t", type=int, default=1, help="dilation factor (default 1)")
     cat = tops.add_parser("catalan", help="staircase interval on 2n elements")
     cat.add_argument("n", type=int)
     ren = tops.add_parser("render", help="draw the skew diagram of a spec as SVG")

@@ -16,15 +16,21 @@ The operations implemented here:
 * ``dual``, ``delete``, ``contract``, ``direct_sum`` -- minors and sums,
   all returning interval specs again (closed-form bound updates).
 * ``homogeneous_component`` -- the fixed-size layer, an ordinary lattice
-  path matroid given by elementwise bounds on sorted tuples.
-* ``envelope_bases`` / ``envelope_project`` -- the matroid on the signed
-  ground {-n, ..., -1, 1, ..., n} whose bases project onto the feasible
-  vertices, plus the halving projection itself.
+  path matroid: the Gale interval from max(S.profile, {1..k}.profile)
+  to min(T.profile, {n-k+1..n}.profile), componentwise, found by that
+  profile arithmetic alone.
+* ``envelope_bases`` / ``envelope_project`` -- the lattice path matroid
+  on the signed ground {-n, ..., -1, 1, ..., n} whose bases project onto
+  the feasible vertices, plus the halving projection itself.
 * ``project_element``      -- drop an element from every feasible set
   (the result need not be an interval; see ``family_interval_bounds``).
 * ``catalan_spec``         -- the interval of symmetric paths weakly
   below the staircase that starts with an E step; its feasible count is
   the central binomial coefficient.
+
+The layers and the envelope are ``TypeALpmSpec``s, whose bases
+``subsets.interval`` enumerates: between sets of one size, the Gale
+order is the elementwise order of their sorted tuples.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ArgumentError, DomainError, OrderError
-from .subsets import SubsetMask, interval, profile, profile_bounds
+from .subsets import SubsetMask, gale_leq, interval, mask_from_profile, profile_bounds
 
 __all__ = [
     "LpdmSpec",
@@ -70,9 +76,8 @@ def _check_ground(ground: tuple[int, ...]) -> None:
 class LpdmSpec:
     """The delta matroid with feasible sets the Gale interval [lower, upper].
 
-    The bounds are label sets; their positional masks and suffix-count
-    profiles are computed once, on construction, and take no part in
-    equality or hashing.
+    The bounds are label sets; their positional masks are computed once,
+    on construction, and take no part in equality or hashing.
     """
 
     ground: tuple[int, ...]
@@ -80,8 +85,6 @@ class LpdmSpec:
     upper: frozenset[int]
     _lower_mask: SubsetMask = field(init=False, repr=False, compare=False)
     _upper_mask: SubsetMask = field(init=False, repr=False, compare=False)
-    lower_profile: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    upper_profile: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ground = tuple(self.ground)
@@ -97,9 +100,7 @@ class LpdmSpec:
         upper = SubsetMask(len(ground), frozenset(index[x] for x in self.upper))
         object.__setattr__(self, "_lower_mask", lower)
         object.__setattr__(self, "_upper_mask", upper)
-        object.__setattr__(self, "lower_profile", profile(lower))
-        object.__setattr__(self, "upper_profile", profile(upper))
-        if not all(a <= b for a, b in zip(self.lower_profile, self.upper_profile)):
+        if not gale_leq(lower, upper):
             raise OrderError(
                 f"lower bound {sorted(self.lower)!r} is not below {sorted(self.upper)!r}"
             )
@@ -204,9 +205,9 @@ def classify_elements(m: LpdmSpec) -> tuple[frozenset[int], frozenset[int]]:
     the dual.
     """
     n = m.n
-    s = m.lower_mask().members
-    t = m.upper_mask().members
-    a, b = m.lower_profile, m.upper_profile
+    lower, upper = m.lower_mask(), m.upper_mask()
+    s, t = lower.members, upper.members
+    a, b = lower.profile, upper.profile
     # positions above which the two bounds hold the same number of elements
     pinned = [p for p in range(1, n + 1) if p == n or a[p] == b[p]]
     loops = m.labels(p for p in pinned if p not in s and p not in t)
@@ -298,34 +299,18 @@ def relabel(m: LpdmSpec, new_ground) -> LpdmSpec:
     )
 
 
-def _type_a_interval(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Sorted position tuples a with lo <= a <= hi elementwise."""
-    k = len(lo)
-    out: list[tuple[int, ...]] = []
-    acc: list[int] = []
-
-    def grow(j: int, prev: int) -> None:
-        if j == k:
-            out.append(tuple(acc))
-            return
-        for a in range(max(lo[j], prev + 1), hi[j] + 1):
-            acc.append(a)
-            grow(j + 1, a)
-            acc.pop()
-
-    grow(0, 0)
-    return out
-
-
 @dataclass(frozen=True)
 class TypeALpmSpec:
     """A lattice path matroid: bases are the k-subsets lying elementwise
-    between two sorted bounds.  Labels follow the parent ground."""
+    between two sorted bounds, which is the Gale interval between them.
+    Labels follow the parent ground."""
 
     ground: tuple[int, ...]
     k: int
     lower: tuple[int, ...]
     upper: tuple[int, ...]
+    _lower_mask: SubsetMask = field(init=False, repr=False, compare=False)
+    _upper_mask: SubsetMask = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ground = tuple(self.ground)
@@ -338,43 +323,47 @@ class TypeALpmSpec:
         if len(lower) != self.k or len(upper) != self.k:
             raise ArgumentError("bounds must have exactly k elements")
         index = {g: i for i, g in enumerate(ground, start=1)}
+        if not set(lower + upper) <= index.keys():
+            raise ArgumentError(f"bounds must lie within the ground {ground!r}")
         lo = [index[x] for x in lower]
         hi = [index[x] for x in upper]
-        if lo != sorted(lo) or hi != sorted(hi):
+        if any(a >= b for a, b in zip(lo, lo[1:])) or any(a >= b for a, b in zip(hi, hi[1:])):
             raise ArgumentError("bounds must be sorted along the ground")
-        if any(a > b for a, b in zip(lo, hi)):
+        object.__setattr__(self, "_lower_mask", SubsetMask(len(ground), frozenset(lo)))
+        object.__setattr__(self, "_upper_mask", SubsetMask(len(ground), frozenset(hi)))
+        if not gale_leq(self._lower_mask, self._upper_mask):
             raise ArgumentError("lower bound exceeds upper bound elementwise")
 
     def bases(self) -> SetFamily:
-        index = {g: i for i, g in enumerate(self.ground, start=1)}
-        lo = tuple(index[x] for x in self.lower)
-        hi = tuple(index[x] for x in self.upper)
-        members = tuple(
-            frozenset(self.ground[p - 1] for p in tup) for tup in _type_a_interval(lo, hi)
-        )
+        masks = interval(self._lower_mask, self._upper_mask)
+        members = tuple(frozenset(self.ground[p - 1] for p in s.members) for s in masks)
         return SetFamily(self.ground, members)
 
 
 def homogeneous_component(m: LpdmSpec, k: int):
     """The layer of feasible sets of size k, or None when empty.
 
-    The layer of a Gale interval is always an ordinary lattice path
-    matroid: the elementwise interval between its smallest and largest
-    members.
+    The layer of a Gale interval [S, T] is the ordinary lattice path
+    matroid between lo = max(S.profile, {1..k}.profile) and
+    hi = min(T.profile, {n-k+1..n}.profile), taken componentwise: the
+    crossing of [S, T] with the interval of all k-subsets, as in
+    ``polytope.intersect``.  It is empty exactly when lo is not below
+    hi.  Nothing is enumerated.
     """
-    if not 0 <= k <= m.n:
-        raise ArgumentError(f"size {k} outside [0, {m.n}]")
-    masks = [s for s in interval(m.lower_mask(), m.upper_mask()) if len(s.members) == k]
-    if not masks:
+    n = m.n
+    if not 0 <= k <= n:
+        raise ArgumentError(f"size {k} outside [0, {n}]")
+    first = SubsetMask(n, frozenset(range(1, k + 1))).profile
+    last = SubsetMask(n, frozenset(range(n - k + 1, n + 1))).profile
+    lo = mask_from_profile(map(max, m.lower_mask().profile, first))
+    hi = mask_from_profile(map(min, m.upper_mask().profile, last))
+    if not gale_leq(lo, hi):
         return None
-    tuples = [s.as_tuple() for s in masks]
-    lo = tuple(min(t[j] for t in tuples) for j in range(k))
-    hi = tuple(max(t[j] for t in tuples) for j in range(k))
     return TypeALpmSpec(
         m.ground,
         k,
-        tuple(m.ground[p - 1] for p in lo),
-        tuple(m.ground[p - 1] for p in hi),
+        tuple(m.ground[p - 1] for p in lo.as_tuple()),
+        tuple(m.ground[p - 1] for p in hi.as_tuple()),
     )
 
 
@@ -389,28 +378,16 @@ def signed_label_set(s: SubsetMask) -> frozenset[int]:
     return frozenset(i if i in s.members else -i for i in range(1, s.n + 1))
 
 
-def _signed_position(x: int, n: int) -> int:
-    return x + n + 1 if x < 0 else x + n
-
-
 def envelope_bases(m: LpdmSpec) -> SetFamily:
     """Bases of the enveloping matroid on the signed ground: the
     n-subsets lying elementwise between the signed encodings of the two
     bounds.  Requires the standard ground 1..n."""
     if not m.standard_ground():
         raise ArgumentError("the enveloping matroid is defined over the standard ground 1..n")
-    n = m.n
-    lo_set = signed_label_set(m.lower_mask())
-    hi_set = signed_label_set(m.upper_mask())
-    lo = tuple(sorted(_signed_position(x, n) for x in lo_set))
-    hi = tuple(sorted(_signed_position(x, n) for x in hi_set))
-    if any(a > b for a, b in zip(lo, hi)):
-        raise AssertionError("signed encodings are not nested")
-    ground = envelope_ground(n)
-    members = tuple(
-        frozenset(ground[p - 1] for p in tup) for tup in _type_a_interval(lo, hi)
-    )
-    return SetFamily(ground, members)
+    # the signed ground is listed in increasing order, so sorting sorts along it
+    lower = tuple(sorted(signed_label_set(m.lower_mask())))
+    upper = tuple(sorted(signed_label_set(m.upper_mask())))
+    return TypeALpmSpec(envelope_ground(m.n), m.n, lower, upper).bases()
 
 
 def envelope_project(basis: frozenset[int], n: int) -> tuple[Fraction, ...]:

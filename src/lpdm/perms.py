@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ArgumentError, DomainError
-from .subsets import GaleChain, SubsetMask, profile
+from .subsets import GaleChain, SubsetMask
 
 __all__ = [
     "Permutation",
@@ -146,7 +146,7 @@ def count_perms_in_descent_box(lo, hi) -> int:
 
 def _descent_profile(n: int, dset) -> tuple[int, ...]:
     """|dset inter [i, n-1]| for i = 1, ..., n."""
-    return profile(SubsetMask(n, frozenset(_normalize_descents(max(n, 1), dset))))
+    return SubsetMask(n, frozenset(_normalize_descents(max(n, 1), dset))).profile
 
 
 def count_perms_with_descent_set(n: int, dset) -> int:

@@ -56,7 +56,7 @@ class HRep:
 
 
 def hrep(m: LpdmSpec) -> HRep:
-    return HRep(m.n, m.lower_profile, m.upper_profile)
+    return HRep(m.n, m.lower_mask().profile, m.upper_mask().profile)
 
 
 def _as_fractions(point, n: int) -> tuple[Fraction, ...]:
@@ -81,12 +81,12 @@ def contains(h: HRep, point) -> bool:
 
 def dimension(m: LpdmSpec) -> int:
     """n minus the number of indices where the two profiles agree."""
-    return m.n - sum(1 for x, y in zip(m.lower_profile, m.upper_profile) if x == y)
+    return m.n - sum(1 for x, y in zip(m.lower_mask().profile, m.upper_mask().profile) if x == y)
 
 
 def is_linked(m: LpdmSpec) -> bool:
     """Full-dimensional: the profiles differ at every index."""
-    return all(x < y for x, y in zip(m.lower_profile, m.upper_profile))
+    return all(x < y for x, y in zip(m.lower_mask().profile, m.upper_mask().profile))
 
 
 def intersect(m1: LpdmSpec, m2: LpdmSpec):
@@ -97,8 +97,8 @@ def intersect(m1: LpdmSpec, m2: LpdmSpec):
     """
     if m1.ground != m2.ground:
         raise ArgumentError("intersection needs a common ground")
-    c = tuple(map(max, m1.lower_profile, m2.lower_profile))
-    d = tuple(map(min, m1.upper_profile, m2.upper_profile))
+    c = tuple(map(max, m1.lower_mask().profile, m2.lower_mask().profile))
+    d = tuple(map(min, m1.upper_mask().profile, m2.upper_mask().profile))
     if any(x > y for x, y in zip(c, d)):
         return None
     return LpdmSpec(
@@ -190,7 +190,8 @@ def face(m: LpdmSpec, facet: Facet) -> FaceResult:
         keep = [s for s in masks if (i in s.members) == bool(facet.level)]
         kind = f"coordinate-{facet.level}"
     else:
-        target = (m.lower_profile if facet.level == "lower" else m.upper_profile)[i - 1]
+        bound = m.lower_mask() if facet.level == "lower" else m.upper_mask()
+        target = bound.profile[i - 1]
         keep = [s for s in masks if sum(1 for x in s.members if x >= i) == target]
         kind = f"suffix-{facet.level}"
 

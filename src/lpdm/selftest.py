@@ -83,7 +83,6 @@ from .subsets import (
     interval,
     is_valid_profile,
     mask_from_profile,
-    profile,
     sort_key,
 )
 from .triangulate import (
@@ -121,19 +120,8 @@ def _masks(n: int) -> tuple[SubsetMask, ...]:
 
 
 @lru_cache(maxsize=None)
-def _profiles(n: int) -> dict[SubsetMask, tuple[int, ...]]:
-    return {s: profile(s) for s in _masks(n)}
-
-
-@lru_cache(maxsize=None)
 def _mask_pairs(n: int) -> tuple[tuple[SubsetMask, SubsetMask], ...]:
-    profs = _profiles(n)
-    return tuple(
-        (s, t)
-        for s in _masks(n)
-        for t in _masks(n)
-        if all(a <= b for a, b in zip(profs[s], profs[t]))
-    )
+    return tuple((s, t) for s in _masks(n) for t in _masks(n) if gale_leq(s, t))
 
 
 def _specs_upto(cap: int):
@@ -168,7 +156,7 @@ def _random_linked_pairs(n: int, count: int, tag: str) -> list[tuple[SubsetMask,
             return out
         s = SubsetMask(n, frozenset(x for x in range(1, n + 1) if rng.random() < 0.5))
         t = SubsetMask(n, frozenset(x for x in range(1, n + 1) if rng.random() < 0.5))
-        if all(a < b for a, b in zip(profile(s), profile(t))):
+        if all(a < b for a, b in zip(s.profile, t.profile)):
             out.append((s, t))
     raise CheckFailure(f"could not sample {count} linked pairs at n={n}")
 
@@ -208,11 +196,10 @@ def order_axioms(cap: int) -> str:
     pairs = 0
     for n in range(0, hi + 1):
         masks = _masks(n)
-        profs = _profiles(n)
-        _ok(len(set(profs.values())) == len(masks), f"profiles collide at n={n}")
+        _ok(len({s.profile for s in masks}) == len(masks), f"profiles collide at n={n}")
         for s in masks:
-            _ok(is_valid_profile(profs[s]), f"invalid profile for {s!r}")
-            _ok(mask_from_profile(profs[s]) == s, f"profile round trip fails for {s!r}")
+            _ok(is_valid_profile(s.profile), f"invalid profile for {s!r}")
+            _ok(mask_from_profile(s.profile) == s, f"profile round trip fails for {s!r}")
             _ok(gale_leq(s, s), f"not reflexive at {s!r}")
             for t in cover_successors(s):
                 _ok(
@@ -230,8 +217,7 @@ def order_axioms(cap: int) -> str:
                     _ok(s == t, f"antisymmetry fails on {s!r}, {t!r}")
                 pairs += 1
     for n in range(0, min(cap, 5) + 1):
-        profs = _profiles(n)
-        ups = {s: {t for t in _masks(n) if all(a <= b for a, b in zip(profs[s], profs[t]))} for s in _masks(n)}
+        ups = {s: {t for t in _masks(n) if gale_leq(s, t)} for s in _masks(n)}
         for s, up in ups.items():
             for t in up:
                 _ok(up >= ups[t], f"transitivity fails through {s!r} <= {t!r}")
@@ -246,25 +232,20 @@ def cover_enumeration(cap: int) -> str:
     hi = min(cap, 6)
     covers = 0
     for n in range(0, hi + 1):
-        profs = _profiles(n)
-
-        def leq(a: SubsetMask, b: SubsetMask) -> bool:
-            return all(x <= y for x, y in zip(profs[a], profs[b]))
-
         for s in _masks(n):
             got = set(cover_successors(s))
-            want = {t for t in _masks(n) if leq(s, t) and gale_rank(t) == gale_rank(s) + 1}
+            want = {t for t in _masks(n) if gale_leq(s, t) and gale_rank(t) == gale_rank(s) + 1}
             _ok(got == want, f"covers of {s!r} disagree with the rank form")
             covers += len(got)
             if n <= min(cap, 5):
                 for t in got:
-                    middle = [u for u in _masks(n) if u not in (s, t) and leq(s, u) and leq(u, t)]
+                    middle = [u for u in _masks(n) if u not in (s, t) and gale_leq(s, u) and gale_leq(u, t)]
                     _ok(not middle, f"subsets sit inside the cover {s!r} -> {t!r}: {middle}")
         if n <= min(cap, 5):
             for s, t in _mask_pairs(n):
                 if gale_rank(t) - gale_rank(s) >= 2:
                     _ok(
-                        any(u not in (s, t) and leq(s, u) and leq(u, t) for u in _masks(n)),
+                        any(u not in (s, t) and gale_leq(s, u) and gale_leq(u, t) for u in _masks(n)),
                         f"no subset strictly between {s!r} and {t!r}",
                     )
     return f"{covers} cover steps to n={hi} match the brute-force definition"
@@ -275,15 +256,9 @@ def interval_enumeration(cap: int) -> str:
     hi = min(cap, 6)
     total = 0
     for n in range(1, hi + 1):
-        profs = _profiles(n)
         for s, t in _mask_pairs(n):
             got = interval(s, t)
-            want = sorted(
-                (u for u in _masks(n)
-                 if all(a <= b for a, b in zip(profs[s], profs[u]))
-                 and all(a <= b for a, b in zip(profs[u], profs[t]))),
-                key=sort_key,
-            )
+            want = sorted((u for u in _masks(n) if gale_leq(s, u) and gale_leq(u, t)), key=sort_key)
             _ok(got == want, f"interval({s!r}, {t!r}) wrong")
             total += len(got)
         incomparable = [

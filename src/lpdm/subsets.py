@@ -2,25 +2,31 @@
 
 A subset S of {1, ..., n} is encoded by its suffix-count profile
 
-    profile(S)_i = |{s in S : s >= i}|,   i = 1, ..., n.
+    S.profile[i - 1] = |{s in S : s >= i}|,   i = 1, ..., n,
 
-Profiles are exactly the integer vectors p with p_n in {0, 1} and
-p_i - p_{i+1} in {0, 1}; the map S -> profile(S) is a bijection.  The
-Gale order used throughout this package is suffix-count dominance:
+which a ``SubsetMask`` computes on first use and keeps.  Profiles are
+exactly the integer vectors p with p_n in {0, 1} and p_i - p_{i+1} in
+{0, 1}; the map S -> S.profile is a bijection.  The Gale order used
+throughout this package is suffix-count dominance:
 
-    S <= T   iff   profile(S)_i <= profile(T)_i for every i,
+    S <= T   iff   S.profile[i] <= T.profile[i] for every i,
 
 which agrees with the classical pairwise definition (largest elements
 compared first; ``lpdm.selftest`` keeps that form as a reference).  The
 order is graded by ``gale_rank`` (the element sum), and intervals [S, T]
 in it are the feasible-set families of everything built on top of this
-module.
+module.  Between two k-subsets it is the elementwise order of their
+sorted tuples, so ``interval`` also enumerates every ordinary lattice
+path matroid, and the size-k layer of [S, T] is the interval between
+max(S.profile, {1..k}.profile) and min(T.profile, {n-k+1..n}.profile),
+taken componentwise.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ArgumentError, DomainError, OrderError
 
@@ -35,7 +41,6 @@ __all__ = [
     "interval",
     "is_valid_profile",
     "mask_from_profile",
-    "profile",
     "profile_bounds",
     "sort_key",
 ]
@@ -63,6 +68,14 @@ class SubsetMask:
 
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
+
+    @cached_property
+    def profile(self) -> tuple[int, ...]:
+        """Suffix counts |S inter {i, ..., n}| for i = 1, ..., n."""
+        out = [0] * (self.n + 1)
+        for i in range(self.n, 0, -1):
+            out[i - 1] = out[i] + (i in self.members)
+        return tuple(out[: self.n])
 
     def complement(self) -> "SubsetMask":
         return SubsetMask(self.n, frozenset(range(1, self.n + 1)) - self.members)
@@ -96,14 +109,6 @@ def _require_same_n(s: SubsetMask, t: SubsetMask) -> None:
         raise ArgumentError(f"mismatched ground sizes {s.n} and {t.n}")
 
 
-def profile(s: SubsetMask) -> tuple[int, ...]:
-    """Suffix counts (|S inter {i, ..., n}|) for i = 1, ..., n."""
-    out = [0] * (s.n + 1)
-    for i in range(s.n, 0, -1):
-        out[i - 1] = out[i] + (1 if i in s.members else 0)
-    return tuple(out[: s.n])
-
-
 def is_valid_profile(counts) -> bool:
     counts = tuple(counts)
     n = len(counts)
@@ -117,7 +122,7 @@ def is_valid_profile(counts) -> bool:
 
 
 def mask_from_profile(counts) -> SubsetMask:
-    """Inverse of ``profile``; rejects vectors that are not profiles."""
+    """Inverse of ``SubsetMask.profile``; rejects vectors that are not profiles."""
     counts = tuple(counts)
     if not is_valid_profile(counts):
         raise ArgumentError(f"{counts!r} is not a suffix-count profile")
@@ -133,14 +138,14 @@ def mask_from_profile(counts) -> SubsetMask:
 def gale_leq(s: SubsetMask, t: SubsetMask) -> bool:
     """Suffix-count dominance order on subsets of [n]."""
     _require_same_n(s, t)
-    return all(a <= b for a, b in zip(profile(s), profile(t)))
+    return all(a <= b for a, b in zip(s.profile, t.profile))
 
 
 def profile_bounds(masks) -> tuple[SubsetMask, SubsetMask]:
     """The componentwise minimum and maximum of the profiles of a
     nonempty list of subsets of [n]: the bounds of the smallest Gale
     interval that holds them all."""
-    profs = [profile(s) for s in masks]
+    profs = [s.profile for s in masks]
     lo = tuple(min(col) for col in zip(*profs))
     hi = tuple(max(col) for col in zip(*profs))
     return mask_from_profile(lo), mask_from_profile(hi)
@@ -157,7 +162,7 @@ def interval(lower: SubsetMask, upper: SubsetMask) -> list[SubsetMask]:
     if not gale_leq(lower, upper):
         raise OrderError(f"{lower!r} is not below {upper!r} in the Gale order")
     n = lower.n
-    a, b = profile(lower), profile(upper)
+    a, b = lower.profile, upper.profile
     # Choose membership from position n down; c = |A inter {i+1, ..., n}|.
     found: list[SubsetMask] = []
     stack: list[tuple[int, int, frozenset[int]]] = [(n, 0, frozenset())]
@@ -195,7 +200,7 @@ def count_maximal_chains(lower: SubsetMask, upper: SubsetMask) -> int:
     # exactly this many steps, and nothing else below upper has its rank;
     # a cover that adds e raises only the profile entry at e, so a
     # successor of a set below upper stays below iff that entry does
-    top = profile(upper)
+    top = upper.profile
     ways = {lower.members: 1}
     for _ in range(gale_rank(upper) - gale_rank(lower)):
         step: dict[frozenset[int], int] = {}

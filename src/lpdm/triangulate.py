@@ -97,7 +97,8 @@ def eulerian_simplex(w: Permutation) -> LatticeSimplex:
 
     Vertices are listed bottom-up along the chain (all-zeros image
     first), so vertex k is the image of the indicator of the top k
-    chain coordinates.
+    chain coordinates.  The empty permutation gives the one-point
+    simplex ((),).
     """
     n = w.n
     winv = w.inverse().images
@@ -107,7 +108,8 @@ def eulerian_simplex(w: Permutation) -> LatticeSimplex:
         for j in range(n - k + 1, n + 1):
             x[w(j) - 1] = 1
         y = [0] * n
-        y[n - 1] = x[0]
+        if n:
+            y[n - 1] = x[0]
         for i in range(1, n):
             step = 1 if winv[i] < winv[i - 1] else 0
             y[n - i - 1] = x[i] - x[i - 1] + step
@@ -118,9 +120,12 @@ def eulerian_simplex(w: Permutation) -> LatticeSimplex:
 def simplex_cell(w: Permutation) -> SubsetMask:
     """The unique S within [n-1] whose cell [S, S u {n}] contains the
     simplex of w: coordinatewise minima of the vertex suffix sums form
-    the lower profile, and the suffix sums only ever exceed it by one."""
-    simp = eulerian_simplex(w)
+    the lower profile, and the suffix sums only ever exceed it by one.
+    There is no cell on the empty ground (``is_toric`` admits none)."""
     n = w.n
+    if n == 0:
+        raise DomainError("the empty permutation lies in no cell: a cell needs n >= 1")
+    simp = eulerian_simplex(w)
     mins = []
     for i in range(1, n + 1):
         mins.append(min(sum(v[i - 1 :]) for v in simp.vertices))
@@ -187,5 +192,5 @@ def volume(m: LpdmSpec) -> Fraction:
     """
     if not is_linked(m):
         return Fraction(0)
-    hi = tuple(b - 1 for b in m.upper_profile)
-    return Fraction(count_perms_in_descent_box(m.lower_profile, hi), math.factorial(m.n))
+    hi = tuple(b - 1 for b in m.upper_mask().profile)
+    return Fraction(count_perms_in_descent_box(m.lower_mask().profile, hi), math.factorial(m.n))

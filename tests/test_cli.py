@@ -4,10 +4,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lpdm
 
-from lpdm.cli import CommandResult, main, run
+from lpdm.cli import _HANDLERS, CommandResult, main, run
 
 
 def payload_of(capsys):
@@ -72,6 +73,20 @@ def test_tri_volume_and_label(capsys):
     assert envelope["payload"] == {"S": [2, 4, 5], "n": 6}
 
 
+def test_matroid_envelope_at_n1200(capsys):
+    assert main(["matroid", "envelope", '{"n": 1200, "S": [], "T": []}']) == 0
+    envelope, _ = payload_of(capsys)
+    assert envelope["status"] == "ok" and envelope["payload"]["count"] == 1
+
+
+def test_matroid_component_of_the_40_cube(capsys):
+    spec = json.dumps({"n": 40, "S": [], "T": list(range(1, 41)), "k": 3})
+    res = run(["matroid", "component", spec])
+    assert res.exit_code == 0 and res.milliseconds < 1000
+    assert res.payload["component"]["S"] == [1, 2, 3]
+    assert res.payload["component"]["T"] == [38, 39, 40]
+
+
 def test_tri_volume_of_the_60_cube(capsys):
     spec = json.dumps({"n": 60, "S": [], "T": list(range(1, 61))})
     assert main(["tri", "volume", spec]) == 0
@@ -126,6 +141,10 @@ def test_domain_error_exit_one(capsys):
     assert envelope["status"] == "error"
     assert envelope["error"]["code"] == "domain"
     assert "coloop" in envelope["error"]["message"]
+
+    assert main(["tri", "label", '{"perm": []}']) == 1  # no cell on the empty ground
+    envelope, _ = payload_of(capsys)
+    assert envelope["status"] == "error" and envelope["error"]["code"] == "domain"
 
 
 def test_order_error_exit_one(capsys):
@@ -197,3 +216,57 @@ def test_selftest_smallest_cap(capsys):
     assert len(payload["checks"]) >= 20
     # progress table goes to stderr, one row per check plus the tally
     assert "checks passed" in err
+
+
+# Random small documents for every group and action: mostly well-typed
+# fields, now and then a value of the wrong type.  Grounds stay at n <= 4
+# and integers stay small, so no answer is exponential in size.
+_small = st.integers(-1, 4)
+_ints = st.lists(_small, max_size=4)
+_words = st.text("EN", max_size=6)
+
+
+def _subset(n):
+    return st.integers(0, 2**n - 1).map(lambda bits: [i + 1 for i in range(n) if bits >> i & 1])
+
+
+_spec = st.integers(0, 4).flatmap(
+    lambda n: st.fixed_dictionaries({"n": st.just(n), "S": _subset(n), "T": _subset(n)})
+)
+_junk = st.none() | st.booleans() | st.text(max_size=3) | _ints | _spec
+_fields = {
+    "k": _small,
+    "element": _small,
+    "x": st.lists(st.sampled_from((0, 1, -1, "1/2", "-1/3", "2/0", "x")), max_size=4),
+    "perm": st.integers(0, 4).flatmap(lambda m: st.permutations(range(1, m + 1))),
+    "word": _words,
+    "P": _words,
+    "Q": _words,
+    "first": _spec,
+    "second": _spec,
+    "facet": st.fixed_dictionaries({
+        "kind": st.sampled_from(("coordinate", "suffix", "edge")),
+        "i": _small,
+        "value": _small,
+        "side": st.sampled_from(("lower", "upper", "left")),
+    }),
+}
+_doc = st.builds(
+    lambda spec, fields, junk: {**spec, **fields, **junk},
+    _spec,
+    st.fixed_dictionaries(_fields),
+    st.dictionaries(st.sampled_from(("n", "S", "T", "ground", *_fields)), _junk, max_size=1),
+)
+
+
+@pytest.mark.parametrize("group,action", list(_HANDLERS))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(doc=_doc)
+def test_every_document_gets_an_envelope(group, action, doc):
+    res = run([group, action, json.dumps(doc)])
+    assert res.exit_code in (0, 1, 2)
+    assert (res.status == "ok") == (res.exit_code == 0)
+    if res.status == "error":
+        assert sorted(res.payload) == ["code", "message"]
+        assert all(isinstance(v, str) for v in res.payload.values())
+    json.dumps(res.payload, sort_keys=True)

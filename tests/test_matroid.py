@@ -10,6 +10,7 @@ from lpdm import (
     SetFamily,
     SubsetMask,
     TypeALpmSpec,
+    all_subsets,
     catalan_spec,
     classify_elements,
     contract,
@@ -22,6 +23,7 @@ from lpdm import (
     exchange_witness,
     family_interval_bounds,
     feasible_sets,
+    gale_leq,
     homogeneous_component,
     project_element,
     relabel,
@@ -188,8 +190,15 @@ def test_homogeneous_component_worked():
         homogeneous_component(fixed, 7)
 
 
-def test_homogeneous_component_matches_size_filter(specs_n3):
-    for m in specs_n3:
+def test_homogeneous_component_matches_size_filter():
+    specs = [
+        LpdmSpec.of(n, s.members, t.members)
+        for n in range(7)
+        for s in all_subsets(n)
+        for t in all_subsets(n)
+        if gale_leq(s, t)
+    ]
+    for m in specs:
         members = set(feasible_sets(m).members)
         for k in range(m.n + 1):
             comp = homogeneous_component(m, k)
@@ -207,6 +216,10 @@ def test_type_a_spec_validates():
         TypeALpmSpec((1, 2, 3), 2, (2, 1), (2, 3))
     with pytest.raises(ArgumentError):
         TypeALpmSpec((1, 2, 3), 2, (1, 3), (1, 2))
+    with pytest.raises(ArgumentError):
+        TypeALpmSpec((1, 2, 3), 2, (1, 1), (2, 3))  # a repeated label
+    with pytest.raises(ArgumentError):
+        TypeALpmSpec((1, 2, 3), 2, (1, 2), (2, 4))  # a label outside the ground
 
 
 def test_envelope_ground_and_encoding():

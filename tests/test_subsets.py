@@ -15,7 +15,6 @@ from lpdm import (
     interval,
     is_valid_profile,
     mask_from_profile,
-    profile,
     sort_key,
 )
 from lpdm.selftest import gale_leq_definitional
@@ -42,16 +41,16 @@ def test_complement_and_len():
 
 
 def test_profile_worked_values():
-    assert profile(mask(6, 1, 3, 5)) == (3, 2, 2, 1, 1, 0)
-    assert profile(mask(2)) == (0, 0)
-    assert profile(mask(2, 1, 2)) == (2, 1)
-    assert profile(SubsetMask(0, frozenset())) == ()
+    assert mask(6, 1, 3, 5).profile == (3, 2, 2, 1, 1, 0)
+    assert mask(2).profile == (0, 0)
+    assert mask(2, 1, 2).profile == (2, 1)
+    assert SubsetMask(0, frozenset()).profile == ()
 
 
 def test_profile_round_trip_exhaustive():
     for n in range(5):
         for s in all_subsets(n):
-            p = profile(s)
+            p = s.profile
             assert is_valid_profile(p)
             assert mask_from_profile(p) == s
 

@@ -49,6 +49,7 @@ def test_eulerian_simplex_worked():
     simp = eulerian_simplex(Permutation((1, 3, 2)))
     assert simp.vertices == ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1))
     assert simp.perm == Permutation((1, 3, 2))
+    assert eulerian_simplex(Permutation(())).vertices == ((),)
 
 
 def test_eulerian_simplices_unimodular():
@@ -75,6 +76,8 @@ def test_simplex_cell_worked():
     assert simplex_cell(Permutation((2, 3, 1))).members == frozenset({2})
     assert simplex_cell(Permutation((3, 2, 5, 4, 6, 1))).members == frozenset({2, 4, 5})
     assert simplex_cell(Permutation((1, 2))).members == frozenset()
+    with pytest.raises(DomainError):
+        simplex_cell(Permutation(()))  # no cell on the empty ground
 
 
 def test_simplex_cell_closed_form():
