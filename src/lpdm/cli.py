@@ -14,6 +14,7 @@ output file that cannot be written: code "io"), 2 usage error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -26,13 +27,13 @@ from .jsonio import (
     family_json,
     frac_str,
     hrep_json,
+    layer_json,
     parse_int,
     parse_point,
     parse_spec,
     parse_subset,
     simplex_json,
     spec_json,
-    typea_json,
 )
 from .matroid import (
     catalan_spec,
@@ -46,12 +47,13 @@ from .matroid import (
     family_interval_bounds,
     feasible_sets,
     homogeneous_component,
+    intersect,
     project_element,
 )
 from .oracle import count_lattice_points, ehrhart_volume, hull_membership
 from .paths import PathWord, path_from_subset, path_leq, skew_svg, subset_from_path
 from .perms import Permutation
-from .polytope import contains, dimension, face, hrep, intersect, is_linked, vertex_set
+from .polytope import contains, dimension, face, hrep, is_linked, vertex_set
 from .subsets import (
     cover_successors,
     count_maximal_chains,
@@ -194,7 +196,7 @@ def _matroid_sum(ns):
 def _matroid_component(ns):
     obj = _load(ns)
     comp = homogeneous_component(parse_spec(obj), parse_int(obj, "k"))
-    return {"k": obj["k"], "component": None if comp is None else typea_json(comp)}
+    return {"k": obj["k"], "component": None if comp is None else layer_json(comp)}
 
 
 def _matroid_envelope(ns):
@@ -333,6 +335,8 @@ _HANDLERS: dict[tuple[str, str], Callable] = {
     ("oracle", "member"): _oracle_member,
 }
 
+
+@functools.cache  # built on first use, once per process; not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpdm",

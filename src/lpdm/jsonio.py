@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UsageError
-from .matroid import LpdmSpec, SetFamily, TypeALpmSpec
+from .matroid import LpdmSpec, SetFamily
 from .polytope import Facet, HRep
 from .subsets import SubsetMask
 from .triangulate import LatticeSimplex
@@ -22,16 +22,15 @@ __all__ = [
     "family_json",
     "frac_str",
     "hrep_json",
+    "layer_json",
     "parse_frac",
     "parse_int",
     "parse_int_list",
     "parse_point",
     "parse_spec",
     "parse_subset",
-    "point_json",
     "simplex_json",
     "spec_json",
-    "typea_json",
 ]
 
 
@@ -94,13 +93,11 @@ def family_json(fam: SetFamily) -> dict:
     return {"ground": list(fam.ground), "members": fam.sorted_member_lists()}
 
 
-def typea_json(spec: TypeALpmSpec) -> dict:
-    return {
-        "ground": list(spec.ground),
-        "k": spec.k,
-        "S": list(spec.lower),
-        "T": list(spec.upper),
-    }
+def layer_json(m: LpdmSpec) -> dict:
+    """A spec whose bounds have one size k (a lattice path matroid):
+    its ground, k, and S and T in ground order."""
+    out = spec_json(m)
+    return {"ground": list(m.ground), "k": len(m.lower), "S": out["S"], "T": out["T"]}
 
 
 def hrep_json(h: HRep) -> dict:
@@ -123,10 +120,6 @@ def parse_frac(val) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"not a rational: {val!r}") from exc
     raise UsageError(f"not a rational: {val!r}")
-
-
-def point_json(point) -> list[str]:
-    return [frac_str(c) for c in point]
 
 
 def parse_point(val, key: str = "x") -> tuple[Fraction, ...]:

@@ -13,12 +13,11 @@ The operations implemented here:
 * ``feasible_sets``        -- enumerate the interval.
 * ``verify_exchange``      -- the symmetric exchange axiom, with witness.
 * ``classify_elements``    -- loops and coloops.
-* ``dual``, ``delete``, ``contract``, ``direct_sum`` -- minors and sums,
-  all returning interval specs again (closed-form bound updates).
-* ``homogeneous_component`` -- the fixed-size layer, an ordinary lattice
-  path matroid: the Gale interval from max(S.profile, {1..k}.profile)
-  to min(T.profile, {n-k+1..n}.profile), componentwise, found by that
-  profile arithmetic alone.
+* ``dual``, ``delete``, ``contract``, ``direct_sum``, ``intersect`` --
+  minors, sums and crossings, all returning interval specs again
+  (closed-form bound updates).
+* ``homogeneous_component`` -- the fixed-size layer: the crossing of
+  [S, T] with the interval of all k-subsets.
 * ``envelope_bases`` / ``envelope_project`` -- the lattice path matroid
   on the signed ground {-n, ..., -1, 1, ..., n} whose bases project onto
   the feasible vertices, plus the halving projection itself.
@@ -28,9 +27,10 @@ The operations implemented here:
   below the staircase that starts with an E step; its feasible count is
   the central binomial coefficient.
 
-The layers and the envelope are ``TypeALpmSpec``s, whose bases
-``subsets.interval`` enumerates: between sets of one size, the Gale
-order is the elementwise order of their sorted tuples.
+A lattice path matroid is an ``LpdmSpec`` whose two bounds have one
+size, so the layers and the envelope are specs like any other: between
+sets of one size, the Gale order is the elementwise order of their
+sorted tuples.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .subsets import SubsetMask, gale_leq, interval, mask_from_profile, profile_
 __all__ = [
     "LpdmSpec",
     "SetFamily",
-    "TypeALpmSpec",
     "catalan_spec",
     "classify_elements",
     "contract",
@@ -58,6 +57,7 @@ __all__ = [
     "family_interval_bounds",
     "feasible_sets",
     "homogeneous_component",
+    "intersect",
     "project_element",
     "relabel",
     "signed_label_set",
@@ -299,72 +299,33 @@ def relabel(m: LpdmSpec, new_ground) -> LpdmSpec:
     )
 
 
-@dataclass(frozen=True)
-class TypeALpmSpec:
-    """A lattice path matroid: bases are the k-subsets lying elementwise
-    between two sorted bounds, which is the Gale interval between them.
-    Labels follow the parent ground."""
+def intersect(m1: LpdmSpec, m2: LpdmSpec):
+    """The spec whose feasible sets (and polytope) are the intersection,
+    or None when empty.
 
-    ground: tuple[int, ...]
-    k: int
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
-    _lower_mask: SubsetMask = field(init=False, repr=False, compare=False)
-    _upper_mask: SubsetMask = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        ground = tuple(self.ground)
-        lower = tuple(self.lower)
-        upper = tuple(self.upper)
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        _check_ground(ground)
-        if len(lower) != self.k or len(upper) != self.k:
-            raise ArgumentError("bounds must have exactly k elements")
-        index = {g: i for i, g in enumerate(ground, start=1)}
-        if not set(lower + upper) <= index.keys():
-            raise ArgumentError(f"bounds must lie within the ground {ground!r}")
-        lo = [index[x] for x in lower]
-        hi = [index[x] for x in upper]
-        if any(a >= b for a, b in zip(lo, lo[1:])) or any(a >= b for a, b in zip(hi, hi[1:])):
-            raise ArgumentError("bounds must be sorted along the ground")
-        object.__setattr__(self, "_lower_mask", SubsetMask(len(ground), frozenset(lo)))
-        object.__setattr__(self, "_upper_mask", SubsetMask(len(ground), frozenset(hi)))
-        if not gale_leq(self._lower_mask, self._upper_mask):
-            raise ArgumentError("lower bound exceeds upper bound elementwise")
-
-    def bases(self) -> SetFamily:
-        masks = interval(self._lower_mask, self._upper_mask)
-        members = tuple(frozenset(self.ground[p - 1] for p in s.members) for s in masks)
-        return SetFamily(self.ground, members)
+    Componentwise max of the lower profiles against componentwise min
+    of the upper profiles; both stay valid profiles.
+    """
+    if m1.ground != m2.ground:
+        raise ArgumentError("intersection needs a common ground")
+    c = tuple(map(max, m1.lower_mask().profile, m2.lower_mask().profile))
+    d = tuple(map(min, m1.upper_mask().profile, m2.upper_mask().profile))
+    if any(x > y for x, y in zip(c, d)):
+        return None
+    return LpdmSpec(m1.ground, m1.labels(mask_from_profile(c)), m1.labels(mask_from_profile(d)))
 
 
 def homogeneous_component(m: LpdmSpec, k: int):
     """The layer of feasible sets of size k, or None when empty.
 
-    The layer of a Gale interval [S, T] is the ordinary lattice path
-    matroid between lo = max(S.profile, {1..k}.profile) and
-    hi = min(T.profile, {n-k+1..n}.profile), taken componentwise: the
-    crossing of [S, T] with the interval of all k-subsets, as in
-    ``polytope.intersect``.  It is empty exactly when lo is not below
-    hi.  Nothing is enumerated.
+    The layer is a lattice path matroid: the crossing of [S, T] with
+    the hypersimplex interval [{1..k}, {n-k+1..n}] of all k-subsets, an
+    ``LpdmSpec`` whose two bounds have size k.  Nothing is enumerated.
     """
     n = m.n
     if not 0 <= k <= n:
         raise ArgumentError(f"size {k} outside [0, {n}]")
-    first = SubsetMask(n, frozenset(range(1, k + 1))).profile
-    last = SubsetMask(n, frozenset(range(n - k + 1, n + 1))).profile
-    lo = mask_from_profile(map(max, m.lower_mask().profile, first))
-    hi = mask_from_profile(map(min, m.upper_mask().profile, last))
-    if not gale_leq(lo, hi):
-        return None
-    return TypeALpmSpec(
-        m.ground,
-        k,
-        tuple(m.ground[p - 1] for p in lo.as_tuple()),
-        tuple(m.ground[p - 1] for p in hi.as_tuple()),
-    )
+    return intersect(m, LpdmSpec(m.ground, m.ground[:k], m.ground[n - k :]))
 
 
 def envelope_ground(n: int) -> tuple[int, ...]:
@@ -384,10 +345,8 @@ def envelope_bases(m: LpdmSpec) -> SetFamily:
     bounds.  Requires the standard ground 1..n."""
     if not m.standard_ground():
         raise ArgumentError("the enveloping matroid is defined over the standard ground 1..n")
-    # the signed ground is listed in increasing order, so sorting sorts along it
-    lower = tuple(sorted(signed_label_set(m.lower_mask())))
-    upper = tuple(sorted(signed_label_set(m.upper_mask())))
-    return TypeALpmSpec(envelope_ground(m.n), m.n, lower, upper).bases()
+    lower, upper = m.lower_mask(), m.upper_mask()
+    return feasible_sets(LpdmSpec(envelope_ground(m.n), signed_label_set(lower), signed_label_set(upper)))
 
 
 def envelope_project(basis: frozenset[int], n: int) -> tuple[Fraction, ...]:

@@ -19,14 +19,12 @@ point sets so that it can sit on the other side of an equality test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, DomainError
 from .polytope import HRep
 
 __all__ = [
-    "EhrhartTable",
     "affine_rank",
     "count_lattice_points",
     "count_suffix_box",
@@ -73,20 +71,11 @@ def count_lattice_points(h: HRep, t: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class EhrhartTable:
-    """Counts of the dilates t = 0, 1, ..., as (t, count) pairs."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def counts(self) -> list[int]:
-        return [c for (_, c) in self.entries]
-
-
-def ehrhart_table(h: HRep, tmax: int | None = None) -> EhrhartTable:
+def ehrhart_table(h: HRep, tmax: int | None = None) -> tuple[int, ...]:
+    """Lattice-point counts of the dilates t = 0, 1, ..., tmax (default n)."""
     if tmax is None:
         tmax = h.n
-    return EhrhartTable(tuple((t, count_lattice_points(h, t)) for t in range(tmax + 1)))
+    return tuple(count_lattice_points(h, t) for t in range(tmax + 1))
 
 
 def _forward_differences(counts) -> list[int]:
@@ -106,15 +95,13 @@ def ehrhart_volume(h: HRep) -> Fraction:
     n-th difference of counts at t = 0..n is n! times the leading
     coefficient.  Lower-dimensional polytopes correctly report 0.
     """
-    counts = [count_lattice_points(h, t) for t in range(h.n + 1)]
-    deltas = _forward_differences(counts)
+    deltas = _forward_differences(ehrhart_table(h))
     return Fraction(deltas[h.n], math.factorial(h.n))
 
 
-def ehrhart_eval(table: EhrhartTable, t: int) -> int:
-    """Value at t of the interpolating polynomial through the table
-    (Newton forward differences)."""
-    counts = table.counts()
+def ehrhart_eval(counts, t: int) -> int:
+    """Value at t of the interpolating polynomial through the counts at
+    0, 1, ... (Newton forward differences)."""
     deltas = _forward_differences(counts)
     total = 0
     for k, d in enumerate(deltas):

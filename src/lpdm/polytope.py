@@ -5,10 +5,11 @@ For an interval spec with bounds S and T, the polytope is
     P = { x in [0, 1]^n : profile(S)_i <= x_i + ... + x_n <= profile(T)_i }.
 
 Its vertices are exactly the indicator vectors of the feasible sets,
-its dimension drops by one for every index where the two profiles
-agree, and intersecting two such polytopes over the same ground gives
-another one (or nothing).  Everything here is exact: coordinates are
-``fractions.Fraction`` or int, never floats.
+and its dimension drops by one for every index where the two profiles
+agree.  Intersecting two such polytopes over the same ground gives
+another one (or nothing): that is ``matroid.intersect``.  Everything
+here is exact: coordinates are ``fractions.Fraction`` or int, never
+floats.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .errors import ArgumentError
 from .matroid import LpdmSpec, SetFamily, contract, delete
-from .subsets import SubsetMask, interval, is_valid_profile, mask_from_profile, profile_bounds
+from .subsets import SubsetMask, interval, is_valid_profile, profile_bounds
 
 __all__ = [
     "Facet",
@@ -28,7 +29,6 @@ __all__ = [
     "dimension",
     "face",
     "hrep",
-    "intersect",
     "is_linked",
     "vertex_set",
 ]
@@ -87,25 +87,6 @@ def dimension(m: LpdmSpec) -> int:
 def is_linked(m: LpdmSpec) -> bool:
     """Full-dimensional: the profiles differ at every index."""
     return all(x < y for x, y in zip(m.lower_mask().profile, m.upper_mask().profile))
-
-
-def intersect(m1: LpdmSpec, m2: LpdmSpec):
-    """The spec whose polytope is the intersection, or None when empty.
-
-    Componentwise max of the lower profiles against componentwise min
-    of the upper profiles; both stay valid profiles.
-    """
-    if m1.ground != m2.ground:
-        raise ArgumentError("intersection needs a common ground")
-    c = tuple(map(max, m1.lower_mask().profile, m2.lower_mask().profile))
-    d = tuple(map(min, m1.upper_mask().profile, m2.upper_mask().profile))
-    if any(x > y for x, y in zip(c, d)):
-        return None
-    return LpdmSpec(
-        m1.ground,
-        m1.labels(mask_from_profile(c)),
-        m1.labels(mask_from_profile(d)),
-    )
 
 
 def vertex_set(m: LpdmSpec) -> list[tuple[int, ...]]:

@@ -38,6 +38,7 @@ from .matroid import (
     family_interval_bounds,
     feasible_sets,
     homogeneous_component,
+    intersect,
     project_element,
     relabel,
     signed_label_set,
@@ -71,7 +72,7 @@ from .perms import (
     eulerian_number,
     permutation_to_chain,
 )
-from .polytope import Facet, contains, dimension, face, hrep, intersect, is_linked, vertex_set
+from .polytope import Facet, contains, dimension, face, hrep, is_linked, vertex_set
 from .subsets import (
     GaleChain,
     SubsetMask,
@@ -518,14 +519,14 @@ def homogeneous_components(cap: int) -> str:
             if comp is None:
                 _ok(not want, f"layer {k} of {m!r} reported empty")
                 continue
-            _ok(comp.k == k, f"layer {k} of {m!r} has wrong size tag")
-            _ok(set(comp.bases().members) == want, f"layer {k} of {m!r} wrong")
+            _ok(len(comp.lower) == len(comp.upper) == k, f"layer {k} of {m!r} has bounds of another size")
+            _ok(set(feasible_sets(comp).members) == want, f"layer {k} of {m!r} wrong")
             layers += 1
     fixed = LpdmSpec.of(6, frozenset({1, 3, 5}), frozenset({2, 4, 5, 6}))
     c3 = homogeneous_component(fixed, 3)
     c4 = homogeneous_component(fixed, 4)
-    _ok(c3 is not None and (c3.lower, c3.upper) == ((1, 3, 5), (4, 5, 6)), "size-3 layer bounds wrong")
-    _ok(c4 is not None and (c4.lower, c4.upper) == ((1, 2, 3, 5), (2, 4, 5, 6)), "size-4 layer bounds wrong")
+    _ok(c3 == LpdmSpec.of(6, {1, 3, 5}, {4, 5, 6}), "size-3 layer bounds wrong")
+    _ok(c4 == LpdmSpec.of(6, {1, 2, 3, 5}, {2, 4, 5, 6}), "size-4 layer bounds wrong")
     return f"{layers} nonempty layers to n={hi} are elementwise intervals"
 
 
@@ -960,10 +961,10 @@ def ehrhart_degree(cap: int) -> str:
         chosen = specs if n <= 3 else rng.sample(specs, 40)
         for m in chosen:
             h = hrep(m)
-            table = ehrhart_table(h)
+            counts = ehrhart_table(h)
             for t in (n + 1, n + 2):
                 _ok(
-                    ehrhart_eval(table, t) == count_lattice_points(h, t),
+                    ehrhart_eval(counts, t) == count_lattice_points(h, t),
                     f"dilation count at t={t} breaks the degree bound for {m!r}",
                 )
             if not is_linked(m):

@@ -167,6 +167,8 @@ def subdivide(m: LpdmSpec) -> Subdivision:
     """Cells [R, R u {n}] for every R between the lower bound and the
     upper bound minus n; their union is the parent polytope and their
     interiors are disjoint."""
+    if m.n == 0:
+        raise DomainError("no cell lives on the empty ground")
     if not is_linked(m):
         raise DomainError("only linked (full-dimensional) specs subdivide into cells")
     n = m.n

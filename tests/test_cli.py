@@ -146,6 +146,10 @@ def test_domain_error_exit_one(capsys):
     envelope, _ = payload_of(capsys)
     assert envelope["status"] == "error" and envelope["error"]["code"] == "domain"
 
+    assert main(["tri", "subdivide", '{"n": 0, "S": [], "T": []}']) == 1
+    envelope, _ = payload_of(capsys)
+    assert envelope["error"] == {"code": "domain", "message": "no cell lives on the empty ground"}
+
 
 def test_order_error_exit_one(capsys):
     assert main(["order", "chains", '{"n": 3, "S": [1, 2], "T": [3]}']) == 1
@@ -177,6 +181,19 @@ def test_stdout_deterministic(capsys):
     second, err2 = capsys.readouterr()
     assert first.splitlines()[0] == second.splitlines()[0]
     assert err1.strip().endswith("ms")
+
+
+def test_golden_corpus_is_byte_identical(tmp_path, monkeypatch, capsys):
+    # each key is a JSON-encoded argv; render writes under perfbench/out
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    corpus = json.loads(golden.read_text(encoding="utf-8"))
+    assert len(corpus) == 41
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "perfbench" / "out").mkdir(parents=True)
+    for key, want in corpus.items():
+        code = main(json.loads(key))
+        out = capsys.readouterr().out
+        assert (code, out.encode()) == (want["exit"], want["stdout"].encode()), key
 
 
 def test_render_writes_svg(tmp_path, capsys):

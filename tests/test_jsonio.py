@@ -14,7 +14,6 @@ from lpdm.jsonio import (
     parse_point,
     parse_spec,
     parse_subset,
-    point_json,
     spec_json,
 )
 from lpdm.polytope import Facet, hrep
@@ -81,7 +80,6 @@ def test_fractions():
 
 def test_points():
     assert parse_point(["1/2", 1, "0/1"]) == (Fraction(1, 2), 1, 0)
-    assert point_json((Fraction(1, 2), 1)) == ["1/2", "1/1"]
     with pytest.raises(UsageError):
         parse_point("1/2")
 

@@ -9,7 +9,6 @@ from lpdm import (
     OrderError,
     SetFamily,
     SubsetMask,
-    TypeALpmSpec,
     all_subsets,
     catalan_spec,
     classify_elements,
@@ -182,9 +181,9 @@ def test_relabel():
 def test_homogeneous_component_worked():
     fixed = LpdmSpec.of(6, {1, 3, 5}, {2, 4, 5, 6})
     c3 = homogeneous_component(fixed, 3)
-    assert (c3.lower, c3.upper) == ((1, 3, 5), (4, 5, 6))
+    assert (c3.lower, c3.upper) == (frozenset({1, 3, 5}), frozenset({4, 5, 6}))
     c4 = homogeneous_component(fixed, 4)
-    assert (c4.lower, c4.upper) == ((1, 2, 3, 5), (2, 4, 5, 6))
+    assert (c4.lower, c4.upper) == (frozenset({1, 2, 3, 5}), frozenset({2, 4, 5, 6}))
     assert homogeneous_component(fixed, 6) is None
     with pytest.raises(ArgumentError):
         homogeneous_component(fixed, 7)
@@ -206,20 +205,8 @@ def test_homogeneous_component_matches_size_filter():
             if comp is None:
                 assert not want
             else:
-                assert set(comp.bases().members) == want
-
-
-def test_type_a_spec_validates():
-    with pytest.raises(ArgumentError):
-        TypeALpmSpec((1, 2, 3), 2, (1,), (2, 3))
-    with pytest.raises(ArgumentError):
-        TypeALpmSpec((1, 2, 3), 2, (2, 1), (2, 3))
-    with pytest.raises(ArgumentError):
-        TypeALpmSpec((1, 2, 3), 2, (1, 3), (1, 2))
-    with pytest.raises(ArgumentError):
-        TypeALpmSpec((1, 2, 3), 2, (1, 1), (2, 3))  # a repeated label
-    with pytest.raises(ArgumentError):
-        TypeALpmSpec((1, 2, 3), 2, (1, 2), (2, 4))  # a label outside the ground
+                assert len(comp.lower) == len(comp.upper) == k  # a lattice path matroid
+                assert set(feasible_sets(comp).members) == want
 
 
 def test_envelope_ground_and_encoding():

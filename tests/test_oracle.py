@@ -52,20 +52,19 @@ def test_ehrhart_volume_worked():
 def test_ehrhart_table_and_eval():
     # unit square: (t+1)^2 points in the t-th dilate
     h = hrep(LpdmSpec.of(2, (), {1, 2}))
-    table = ehrhart_table(h)
-    assert table.counts() == [1, 4, 9]
-    assert ehrhart_eval(table, 3) == 16
-    assert ehrhart_eval(table, 0) == 1
-    longer = ehrhart_table(h, 4)
-    assert longer.counts() == [1, 4, 9, 16, 25]
+    counts = ehrhart_table(h)
+    assert counts == (1, 4, 9)
+    assert ehrhart_eval(counts, 3) == 16
+    assert ehrhart_eval(counts, 0) == 1
+    assert ehrhart_table(h, 4) == (1, 4, 9, 16, 25)
 
 
 def test_ehrhart_eval_matches_counts(specs_n3):
     for m in specs_n3:
         h = hrep(m)
-        table = ehrhart_table(h)
+        counts = ehrhart_table(h)
         for t in (m.n + 1, m.n + 2):
-            assert ehrhart_eval(table, t) == count_lattice_points(h, t)
+            assert ehrhart_eval(counts, t) == count_lattice_points(h, t)
 
 
 def test_simplex_volume():

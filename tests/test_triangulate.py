@@ -134,6 +134,9 @@ def test_subdivide_cube():
     ]
     with pytest.raises(DomainError):
         subdivide(LpdmSpec.of(3, {1, 3}, {1, 3}))
+    with pytest.raises(DomainError):  # no cell lives on the empty ground
+        subdivide(LpdmSpec.of(0))
+    assert volume(LpdmSpec.of(0)) == 1
 
 
 def test_volume_worked():
