@@ -9,11 +9,15 @@ point sets so that it can sit on the other side of an equality test.
 * ``ehrhart_volume``       -- leading coefficient of the counting
   polynomial via n-th finite differences.
 * ``simplex_volume``       -- |det| / n! from vertex coordinates.
-* ``hull_membership``      -- rational phase-one simplex method with
-  Bland's rule; decides x in conv(V) exactly.
+* ``hull_membership``      -- integer-tableau phase-one simplex method
+  with Bland's rule; decides x in conv(V) exactly.
 * ``is_edge``              -- midpoint criterion for adjacency of two
   vertices of a 0/1 polytope (no vertex of such a polytope lies inside
   a segment between two others, so the criterion is exact there).
+
+Rational input is read once and scaled to integers by the lcm of its
+denominators (``polytope.as_integers``); the eliminations and pivots
+below are fraction-free.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .errors import ArgumentError, DomainError
-from .polytope import HRep
+from .polytope import HRep, as_integers
 
 __all__ = [
     "affine_rank",
@@ -109,29 +113,45 @@ def ehrhart_eval(counts, t: int) -> int:
     return total
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    if n == 0:
-        return 1
+def _eliminate(m: list[list[int]]) -> tuple[int, int]:
+    """Bareiss fraction-free elimination of an integer matrix, in place.
+
+    Columns with no pivot left are skipped.  Every entry stays a minor of
+    the input, so each division is exact.  Returns (rank, sign of the row
+    permutation); for a square matrix of full rank the last pivot is
+    that sign times the determinant.
+    """
+    ncols = len(m[0]) if m else 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+    r = 0
+    for col in range(ncols):
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top = m[r]
+        for row in m[r + 1 :]:
+            f = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (row[j] * top[col] - f * top[j]) // prev
+            row[col] = 0
+        prev = top[col]
+        r += 1
+    return r, sign
+
+
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix."""
+    m = [row[:] for row in rows]
+    if not m:
+        return 1
+    rank, sign = _eliminate(m)
+    return sign * m[-1][-1] if rank == len(m) else 0
 
 
 def simplex_volume(vertices) -> Fraction:
@@ -149,93 +169,93 @@ def simplex_volume(vertices) -> Fraction:
     return Fraction(abs(det), math.factorial(n))
 
 
-def _lp_feasible(columns: list[list[Fraction]], rhs: list[Fraction]) -> bool:
+def _reduced(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _lp_feasible(columns: list[list[int]], rhs: list[int]) -> bool:
     """Is there lambda >= 0 with sum_j lambda_j * columns[j] = rhs?
 
     Phase-one simplex on the artificial problem, Bland's rule for both
-    the entering and the leaving choice, exact rational pivots.
+    the entering and the leaving choice, on an integer tableau.  Each row
+    is kept only up to a positive factor: a pivot cross-multiplies
+    (Edmonds 1967; Bareiss 1968) and divides the row by its gcd.  The
+    phase-one reduced costs are one more such row.  A positive factor
+    changes no sign and, since the ratio test compares b_i * a_l with
+    b_l * a_i, no ratio order, so the pivots are those of the rational
+    tableau.
     """
     m = len(rhs)
     ncols = len(columns)
-    rows: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    # rows are [coefficients | artificial identity | right-hand side]
+    rows = []
     for i in range(m):
-        row = [columns[j][i] for j in range(ncols)]
-        bi = rhs[i]
-        if bi < 0:
+        row = [col[i] for col in columns]
+        if rhs[i] < 0:
             row = [-x for x in row]
-            bi = -bi
-        rows.append(row)
-        b.append(bi)
-    # append artificial identity
-    for i in range(m):
-        for k in range(m):
-            rows[i].append(Fraction(1 if i == k else 0))
-    total = ncols + m
-    basis = list(range(ncols, total))
+        rows.append(row + [int(i == k) for k in range(m)] + [abs(rhs[i])])
+    # reduced costs of sum(artificials) over the all-artificial basis
+    cost = [-sum(col) for col in zip(*rows)]
+    cost[ncols:-1] = [0] * m
+    basis = list(range(ncols, ncols + m))
     while True:
-        # reduced costs for the objective sum(artificials); basic costs
-        # are 1 exactly on artificial basic rows
-        entering = -1
-        for j in range(total):
-            if j in basis:
-                continue
-            cj = Fraction(1 if j >= ncols else 0)
-            red = cj - sum(rows[i][j] for i in range(m) if basis[i] >= ncols)
-            if red < 0:
-                entering = j
-                break  # Bland: first improving index
+        # Bland: first improving index; basic columns cost exactly 0
+        entering = next((j for j, c in enumerate(cost[:-1]) if c < 0), -1)
         if entering < 0:
             break
         leaving = -1
-        best: Fraction | None = None
-        for i in range(m):
-            if rows[i][entering] > 0:
-                ratio = b[i] / rows[i][entering]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
+        for i, row in enumerate(rows):
+            a = row[entering]
+            if a > 0:
+                if leaving < 0:
+                    leaving = i
+                    continue
+                d = row[-1] * rows[leaving][entering] - rows[leaving][-1] * a
+                if d < 0 or (d == 0 and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
             # artificial objective is bounded below by 0, so this cannot
             # happen; guard anyway
             raise AssertionError("unbounded phase-one problem")
-        piv = rows[leaving][entering]
-        rows[leaving] = [x / piv for x in rows[leaving]]
-        b[leaving] = b[leaving] / piv
-        for i in range(m):
-            if i != leaving and rows[i][entering] != 0:
-                f = rows[i][entering]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leaving])]
-                b[i] = b[i] - f * b[leaving]
+        prow = _reduced(rows[leaving])
+        rows[leaving] = prow
+        piv = prow[entering]
+        for i, row in enumerate(rows):
+            f = row[entering]
+            if i != leaving and f != 0:
+                rows[i] = _reduced([x * piv - f * y for x, y in zip(row, prow)])
+        f = cost[entering]
+        cost = _reduced([x * piv - f * y for x, y in zip(cost, prow)])
         basis[leaving] = entering
-    residual = sum(b[i] for i in range(m) if basis[i] >= ncols)
-    return residual == 0
+    # the objective row's right-hand side is minus the artificial residual
+    return cost[-1] == 0
 
 
 def hull_membership(points, x) -> bool:
     """Exact test: is x a convex combination of the given points?"""
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    pts = [tuple(p) for p in points]
     if not pts:
         raise ArgumentError("empty point set")
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise ArgumentError("points of mixed dimensions")
-    xs = tuple(Fraction(c) for c in x)
+    xs = tuple(x)
     if len(xs) != n:
         raise ArgumentError(f"point has {len(xs)} coordinates, expected {n}")
-    if xs in pts:
+    sp, pts = as_integers(pts)
+    sx, (xs,) = as_integers([xs])
+    # x can equal a point only if its denominators divide the points' lcm
+    if sp % sx == 0 and tuple(c * (sp // sx) for c in xs) in pts:
         return True
-    # exact necessary condition, skips most of the obvious outsiders
-    for i in range(n):
-        lo = min(p[i] for p in pts)
-        hi = max(p[i] for p in pts)
-        if not lo <= xs[i] <= hi:
-            return False
-    columns = [list(p) + [Fraction(1)] for p in pts]
-    rhs = list(xs) + [Fraction(1)]
-    return _lp_feasible(columns, rhs)
+    # x and the points at the common scale sp * sx: the exact bounding
+    # box skips most of the obvious outsiders
+    xs = [c * sp for c in xs]
+    if any(not min(col) * sx <= c <= max(col) * sx for c, col in zip(xs, zip(*pts))):
+        return False
+    # rows scaled by sp and the right-hand side by sx: neither changes a pivot
+    return _lp_feasible([list(p) + [sp] for p in pts], xs + [sp * sx])
 
 
 def is_edge(points, u, v) -> bool:
@@ -243,47 +263,25 @@ def is_edge(points, u, v) -> bool:
 
     True iff the midpoint of u and v is not in the hull of the other
     points.  Valid whenever no vertex lies in the open segment between
-    two others, which holds for 0/1 polytopes.
+    two others, which holds for 0/1 polytopes.  The other points go to
+    ``hull_membership`` as given: doubling them instead would reweigh the
+    convexity row against the others and change the phase-one pivots.
     """
-    ut = tuple(Fraction(c) for c in u)
-    vt = tuple(Fraction(c) for c in v)
+    points = list(points)
+    scale, pts = as_integers([u, v, *points])
+    ut, vt = pts[0], pts[1]
     if ut == vt:
         raise ArgumentError("need two distinct vertices")
-    rest = [p for p in points if tuple(Fraction(c) for c in p) not in (ut, vt)]
+    rest = [p for p, q in zip(points, pts[2:]) if q not in (ut, vt)]
     if not rest:
         return True
-    mid = tuple((a + b) / 2 for a, b in zip(ut, vt))
-    return not hull_membership(rest, mid)
+    return not hull_membership(rest, tuple(Fraction(a + b, 2 * scale) for a, b in zip(ut, vt)))
 
 
 def affine_rank(points) -> int:
     """Dimension of the affine span of the points (0 for a single point)."""
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    _, pts = as_integers(points)
     if not pts:
         raise ArgumentError("empty point set")
     base = pts[0]
-    rows = [[c - b for c, b in zip(p, base)] for p in pts[1:]]
-    rank = 0
-    ncols = len(base)
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
+    return _eliminate([[c - b for c, b in zip(p, base)] for p in pts[1:]])[0]

@@ -8,16 +8,18 @@ Its vertices are exactly the indicator vectors of the feasible sets,
 and its dimension drops by one for every index where the two profiles
 agree.  Intersecting two such polytopes over the same ground gives
 another one (or nothing): that is ``matroid.intersect``.  Everything
-here is exact: coordinates are ``fractions.Fraction`` or int, never
-floats.
+here is exact and works on integers: a rational point is read through
+``fractions.Fraction`` once, at input, and scaled by the lcm of its
+denominators (``as_integers``); no float is ever used.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArgumentError
+from .errors import ArgumentError, DomainError
 from .matroid import LpdmSpec, SetFamily, contract, delete
 from .subsets import SubsetMask, interval, is_valid_profile, profile_bounds
 
@@ -59,22 +61,47 @@ def hrep(m: LpdmSpec) -> HRep:
     return HRep(m.n, m.lower_mask().profile, m.upper_mask().profile)
 
 
-def _as_fractions(point, n: int) -> tuple[Fraction, ...]:
-    pt = tuple(point)
-    if len(pt) != n:
-        raise ArgumentError(f"point has {len(pt)} coordinates, expected {n}")
-    return tuple(Fraction(v) for v in pt)
+_INT = {int}
+
+
+def as_integers(points) -> tuple[int, list[tuple[int, ...]]]:
+    """Rational points scaled to integers: (scale, scaled points).
+
+    Each coordinate is read as an exact rational (an ``int`` or a
+    ``Fraction`` as it is, anything else through ``Fraction``), and every
+    point is multiplied by the lcm of all the denominators.
+    """
+    rows = []
+    scale = 1
+    for p in points:
+        p = tuple(p)
+        exact = set(map(type, p)) <= _INT
+        if not exact:
+            p = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in p)
+            scale = math.lcm(scale, *(c.denominator for c in p))
+        rows.append((exact, p))
+    return scale, [
+        p if exact and scale == 1 else tuple(c.numerator * (scale // c.denominator) for c in p)
+        for exact, p in rows
+    ]
 
 
 def contains(h: HRep, point) -> bool:
-    """Exact membership test against the half-space description."""
-    xs = _as_fractions(point, h.n)
-    if any(x < 0 or x > 1 for x in xs):
-        return False
-    s = Fraction(0)
-    for i in range(h.n, 0, -1):
-        s += xs[i - 1]
-        if not h.lower[i - 1] <= s <= h.upper[i - 1]:
+    """Exact membership test against the half-space description.
+
+    An integer point is tested as it is; any other point is scaled to
+    integers once, and its suffix sums are compared with the scaled bounds.
+    """
+    pt = tuple(point)
+    if len(pt) != h.n:
+        raise ArgumentError(f"point has {len(pt)} coordinates, expected {h.n}")
+    scale = 1
+    if not set(map(type, pt)) <= _INT:
+        scale, (pt,) = as_integers([pt])
+    s = 0
+    for x, lo, hi in zip(reversed(pt), reversed(h.lower), reversed(h.upper)):
+        s += x
+        if not (0 <= x <= scale and lo * scale <= s <= hi * scale):
             return False
     return True
 
@@ -161,6 +188,8 @@ def face(m: LpdmSpec, facet: Facet) -> FaceResult:
     suffix facet at index i splits the ground into the positions below
     i and the positions from i up.
     """
+    if m.n == 0:
+        raise DomainError("the point polytope on the empty ground has no facet")
     if not 1 <= facet.index <= m.n:
         raise ArgumentError(f"facet index {facet.index} outside [1, {m.n}]")
     n = m.n

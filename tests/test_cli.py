@@ -150,6 +150,11 @@ def test_domain_error_exit_one(capsys):
     envelope, _ = payload_of(capsys)
     assert envelope["error"] == {"code": "domain", "message": "no cell lives on the empty ground"}
 
+    facet = '{"n": 0, "S": [], "T": [], "facet": {"kind": "suffix", "i": 1, "side": "upper"}}'
+    assert main(["polytope", "face", facet]) == 1
+    envelope, _ = payload_of(capsys)
+    assert envelope["error"] == {"code": "domain", "message": "the point polytope on the empty ground has no facet"}
+
 
 def test_order_error_exit_one(capsys):
     assert main(["order", "chains", '{"n": 3, "S": [1, 2], "T": [3]}']) == 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,93 @@ from lpdm import (
     vertex_set,
 )
 from lpdm.oracle import count_suffix_box
+
+
+# Slow, independent routes: the rational tableau and the rational
+# elimination that the integer ones replaced, kept as references.
+
+
+def lp_feasible_reference(columns, rhs):
+    """Phase-one simplex with Bland's rule on a Fraction tableau."""
+    m = len(rhs)
+    ncols = len(columns)
+    rows, b = [], []
+    for i in range(m):
+        row = [Fraction(columns[j][i]) for j in range(ncols)]
+        bi = Fraction(rhs[i])
+        if bi < 0:
+            row = [-x for x in row]
+            bi = -bi
+        rows.append(row + [Fraction(int(i == k)) for k in range(m)])
+        b.append(bi)
+    total = ncols + m
+    basis = list(range(ncols, total))
+    while True:
+        entering = -1
+        for j in range(total):
+            if j in basis:
+                continue
+            red = int(j >= ncols) - sum(rows[i][j] for i in range(m) if basis[i] >= ncols)
+            if red < 0:
+                entering = j
+                break
+        if entering < 0:
+            break
+        leaving, best = -1, None
+        for i in range(m):
+            if rows[i][entering] > 0:
+                ratio = b[i] / rows[i][entering]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best, leaving = ratio, i
+        piv = rows[leaving][entering]
+        rows[leaving] = [x / piv for x in rows[leaving]]
+        b[leaving] /= piv
+        for i in range(m):
+            f = rows[i][entering]
+            if i != leaving and f != 0:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leaving])]
+                b[i] -= f * b[leaving]
+        basis[leaving] = entering
+    return sum(b[i] for i in range(m) if basis[i] >= ncols) == 0
+
+
+def hull_membership_reference(points, x):
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    xs = tuple(Fraction(c) for c in x)
+    if xs in pts:
+        return True
+    return lp_feasible_reference([list(p) + [1] for p in pts], list(xs) + [1])
+
+
+def affine_rank_reference(points):
+    """Rank of the difference vectors by Gauss-Jordan elimination over Fraction."""
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    rows = [[c - b for c, b in zip(p, pts[0])] for p in pts[1:]]
+    rank = 0
+    for col in range(len(pts[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / top[col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def random_cloud(rng, n):
+    """Up to 12 rational points in [-2, 2]^n, with duplicates now and then."""
+    pts = []
+    for _ in range(rng.randint(1, 12)):
+        if pts and rng.random() < 0.15:
+            pts.append(rng.choice(pts))
+            continue
+        d = rng.choice((1, 2, 3, 4, 6, 12))
+        pts.append(tuple(Fraction(rng.randint(-2 * d, 2 * d), d) for _ in range(n)))
+    return pts
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
@@ -92,6 +180,42 @@ def test_hull_membership():
         hull_membership([(0,), (1, 2)], (0,))
 
 
+def test_hull_membership_matches_fraction_reference():
+    rng = random.Random(20230601)
+    inside = 0
+    for trial in range(600):
+        n = rng.randint(1, 4)
+        pts = random_cloud(rng, n)
+        kind = trial % 4
+        if kind == 0:
+            x = rng.choice(pts)  # x is one of the points
+        elif kind == 1:
+            # a convex combination, so the LP has to find it
+            w = [rng.randint(0, 3) for _ in pts]
+            w[0] += 1
+            x = tuple(sum(wi * p[i] for wi, p in zip(w, pts)) / sum(w) for i in range(n))
+        else:
+            d = rng.choice((1, 2, 3, 4, 6, 12))
+            x = tuple(Fraction(rng.randint(-2 * d, 2 * d), d) for _ in range(n))
+        want = hull_membership_reference(pts, x)
+        assert hull_membership(pts, x) == want, (pts, x)
+        inside += want
+    assert 200 < inside < 550  # both answers are well represented
+
+
+def test_hull_membership_single_point_and_mixed_inputs():
+    assert hull_membership([(Fraction(1, 3), -1)], ("1/3", -1))
+    assert not hull_membership([(Fraction(1, 3), -1)], (0, -1))
+    # the same segment given as ints, bools, Fractions, strings and floats
+    seg = [(0, 0), (True, 1)]
+    for mid in ((Fraction(1, 2), Fraction(1, 2)), ("1/2", "1/2"), (0.5, 0.5)):
+        assert hull_membership(seg, mid)
+        assert hull_membership([(False, "0"), (1.0, Fraction(1))], mid)
+    assert not hull_membership(seg, (0.5, 0.25))
+    with pytest.raises(ArgumentError, match="point has 3 coordinates, expected 2"):
+        hull_membership(seg, (0, 0, 0))
+
+
 def test_is_edge_square():
     assert is_edge(SQUARE, (0, 0), (1, 0))
     assert is_edge(SQUARE, (0, 0), (0, 1))
@@ -108,6 +232,16 @@ def test_affine_rank():
     assert affine_rank([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
     with pytest.raises(ArgumentError):
         affine_rank([])
+
+
+def test_affine_rank_matches_fraction_reference():
+    rng = random.Random(7)
+    for _ in range(300):
+        pts = random_cloud(rng, rng.randint(1, 5))
+        if rng.random() < 0.3:
+            # a point on the line through two others adds no dimension
+            pts.append(tuple(2 * a - b for a, b in zip(pts[0], pts[-1])))
+        assert affine_rank(pts) == affine_rank_reference(pts), pts
 
 
 def test_volume_of_point_count_one():

@@ -1,9 +1,13 @@
+import functools
+import random
 from fractions import Fraction
+from itertools import accumulate, product
 
 import pytest
 
 from lpdm import (
     ArgumentError,
+    DomainError,
     Facet,
     HRep,
     LpdmSpec,
@@ -11,6 +15,8 @@ from lpdm import (
     dimension,
     face,
     feasible_sets,
+    all_subsets,
+    gale_leq,
     hrep,
     intersect,
     is_linked,
@@ -43,6 +49,67 @@ def test_contains():
     assert not contains(h, (2, 0, 0))  # outside the cube
     with pytest.raises(ArgumentError):
         contains(h, (1, 0))
+
+
+@functools.cache
+def suffix_sums(point):
+    """The suffix sums x_i + ... + x_n over Fraction, or None off the cube."""
+    xs = [Fraction(v) for v in point]
+    if any(x < 0 or x > 1 for x in xs):
+        return None
+    return list(accumulate(reversed(xs)))[::-1]
+
+
+def contains_reference(h, point):
+    """Suffix sums over Fraction, the slow independent route."""
+    sums = suffix_sums(tuple(point))
+    return sums is not None and all(lo <= s <= hi for lo, s, hi in zip(h.lower, sums, h.upper))
+
+
+def all_hreps(n):
+    masks = list(all_subsets(n))
+    return [hrep(LpdmSpec.of(n, s.members, t.members)) for s in masks for t in masks if gale_leq(s, t)]
+
+
+def test_contains_matches_fraction_reference_on_01_points():
+    for n in range(7):
+        points = list(product((0, 1), repeat=n))
+        for h in all_hreps(n):
+            for bits in points:
+                assert contains(h, bits) == contains_reference(h, bits), (h, bits)
+
+
+def test_contains_matches_fraction_reference_on_rational_points():
+    rng = random.Random(11)
+    hits = 0
+    for n in range(1, 7):
+        hs = all_hreps(n)
+        for _ in range(400):
+            h = rng.choice(hs)
+            d = rng.choice((1, 2, 3, 4, 6, 12))
+            x = tuple(Fraction(rng.randint(-1, d + 1), d) for _ in range(n))
+            want = contains_reference(h, x)
+            assert contains(h, x) == want, (h, x)
+            hits += want
+    assert 100 < hits < 2300
+
+
+def test_contains_input_parity():
+    h = hrep(LpdmSpec.of(3, {1}, {1, 3}))
+    half = Fraction(1, 2)
+    # ints, bools, Fractions, strings and floats read as the same rationals
+    for x in ((1, 0, 1), (True, False, True), (Fraction(1), 0, "1"), (1.0, 0.0, 1.0)):
+        assert contains(h, x)
+    for x in ((half, half, half), ("1/2", "1/2", "1/2"), (0.5, 0.5, 0.5), (half, "0.5", 0.5)):
+        assert contains(h, x)
+    for x in ((0, 0, 0), (False, False, False), ("0", 0.0, Fraction(0)), ("1/2", 0, 0), (0.5, 0.25, 0)):
+        assert not contains(h, x)
+    assert not contains(h, ("-1/2", 1, 1))  # a negative coordinate
+    assert not contains(h, (1.5, 0, 0))
+    for bad in ((1, 0), ("1/2",) * 4):
+        with pytest.raises(ArgumentError, match=f"point has {len(bad)} coordinates, expected 3"):
+            contains(h, bad)
+    assert contains(HRep(0, (), ()), ())
 
 
 def test_vertices_satisfy_hrep(specs_n3):
@@ -134,3 +201,10 @@ def test_face_empty():
 def test_face_index_out_of_range():
     with pytest.raises(ArgumentError):
         face(LpdmSpec.of(2, (), ()), Facet("coordinate", 3, 0))
+
+
+def test_face_of_the_point_polytope():
+    # on the empty ground the polytope is a point, which has no facet
+    for facet in (Facet("suffix", 1, "upper"), Facet("coordinate", 1, 0)):
+        with pytest.raises(DomainError, match="no facet"):
+            face(LpdmSpec.of(0), facet)
