@@ -60,7 +60,7 @@ from .subsets import (
     gale_leq,
     gale_rank,
     interval,
-    sort_key,
+    interval_size,
 )
 from .triangulate import simplex_cell, subdivide, triangulate_toric, volume
 
@@ -130,7 +130,7 @@ def _order_chains(ns):
 
 def _order_covers(ns):
     obj = _load(ns)
-    succ = sorted(cover_successors(parse_subset(obj, "S")), key=sort_key)
+    succ = cover_successors(parse_subset(obj, "S"))
     return {"count": len(succ), "successors": _members(succ)}
 
 
@@ -290,7 +290,7 @@ def _oracle_member(ns):
 
 def _catalan(ns):
     m = catalan_spec(ns.n)
-    return {"n": ns.n, "spec": spec_json(m), "count": len(feasible_sets(m))}
+    return {"n": ns.n, "spec": spec_json(m), "count": interval_size(m.lower_mask(), m.upper_mask())}
 
 
 def _render(ns):

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ArgumentError, DomainError, OrderError
-from .subsets import SubsetMask, gale_leq, interval, mask_from_profile, profile_bounds
+from .subsets import SubsetMask, _completions, gale_leq, interval_size, mask_from_profile, profile_bounds
 
 __all__ = [
     "LpdmSpec",
@@ -158,6 +158,15 @@ class SetFamily:
         normal.sort(key=lambda fs: (len(fs), tuple(sorted(index[x] for x in fs))))
         object.__setattr__(self, "members", tuple(normal))
 
+    @classmethod
+    def _canonical(cls, ground: tuple[int, ...], members: tuple[frozenset[int], ...]) -> "SetFamily":
+        """A family built inside the package from distinct label sets of a
+        checked ground, already in canonical order: nothing is checked or
+        sorted."""
+        fam = object.__new__(cls)
+        fam.__dict__.update(ground=ground, members=members)
+        return fam
+
     def __len__(self) -> int:
         return len(self.members)
 
@@ -170,9 +179,11 @@ class SetFamily:
 
 
 def feasible_sets(m: LpdmSpec) -> SetFamily:
-    """Enumerate the Gale interval [lower, upper] as label sets."""
-    masks = interval(m.lower_mask(), m.upper_mask())
-    return SetFamily(m.ground, tuple(m.labels(s) for s in masks))
+    """Enumerate the Gale interval [lower, upper] as label sets, built
+    in canonical order from the labels themselves."""
+    take = [(g,) for g in m.ground]
+    rows = _completions(m.lower_mask().profile, m.upper_mask().profile, take, [()] * m.n)
+    return SetFamily._canonical(m.ground, tuple(map(frozenset, rows)))
 
 
 def exchange_witness(family: SetFamily):
@@ -385,7 +396,7 @@ def family_interval_bounds(family: SetFamily):
     index = {g: i for i, g in enumerate(family.ground, start=1)}
     lo, hi = profile_bounds([SubsetMask(n, frozenset(index[x] for x in m)) for m in family.members])
     # the interval holds every (distinct) member, so equal sizes mean equal families
-    is_interval = len(interval(lo, hi)) == len(family.members)
+    is_interval = interval_size(lo, hi) == len(family.members)
 
     def to_labels(s: SubsetMask) -> frozenset[int]:
         return frozenset(family.ground[p - 1] for p in s.members)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import ArgumentError, DomainError
 from .matroid import LpdmSpec, SetFamily, contract, delete
-from .subsets import SubsetMask, interval, is_valid_profile, profile_bounds
+from .subsets import _completions, is_valid_profile
 
 __all__ = [
     "Facet",
@@ -118,10 +118,7 @@ def is_linked(m: LpdmSpec) -> bool:
 
 def vertex_set(m: LpdmSpec) -> list[tuple[int, ...]]:
     """Indicator vectors of the feasible sets, in canonical order."""
-    out = []
-    for s in interval(m.lower_mask(), m.upper_mask()):
-        out.append(tuple(1 if i in s.members else 0 for i in range(1, m.n + 1)))
-    return out
+    return _completions(m.lower_mask().profile, m.upper_mask().profile, [(1,)] * m.n, [(0,)] * m.n)
 
 
 @dataclass(frozen=True)
@@ -164,19 +161,22 @@ class FaceResult:
     kind: str
 
 
-def _block_spec(parent: LpdmSpec, start: int, stop: int, masks: list[SubsetMask]) -> LpdmSpec:
-    """The interval spec, on the parent positions start, ..., stop - 1,
-    spanned by the parts of the given feasible sets inside that block."""
-    ground = parent.ground[start - 1 : stop - 1]
-    parts = [
-        SubsetMask(stop - start, frozenset(x - start + 1 for x in s.members if start <= x < stop))
-        for s in masks
-    ]
-    lo, hi = profile_bounds(parts)
+def _block_spec(ground: tuple[int, ...], lo, hi) -> LpdmSpec:
+    """The spec on ``ground`` whose feasible sets are the position sets
+    with suffix counts in the box lo <= . <= hi, which must hold one:
+    its bounds are the least profile above lo and the greatest below hi."""
+    k = len(ground)
+    low, high = [0] * (k + 1), [0] * (k + 1)
+    for j in range(k - 1, -1, -1):
+        low[j] = max(lo[j], low[j + 1])
+        high[j] = min(hi[j], high[j + 1] + 1)
+    for j in range(1, k):
+        low[j] = max(low[j], low[j - 1] - 1)
+        high[j] = min(high[j], high[j - 1])
     return LpdmSpec(
         ground,
-        frozenset(ground[p - 1] for p in lo.members),
-        frozenset(ground[p - 1] for p in hi.members),
+        frozenset(ground[j] for j in range(k) if low[j] > low[j + 1]),
+        frozenset(ground[j] for j in range(k) if high[j] > high[j + 1]),
     )
 
 
@@ -186,7 +186,8 @@ def face(m: LpdmSpec, facet: Facet) -> FaceResult:
     A coordinate facet x_i = 1 (resp. 0) splits off the singleton
     interval on {i} against the contraction (resp. deletion) by i; a
     suffix facet at index i splits the ground into the positions below
-    i and the positions from i up.
+    i and the positions from i up.  The family is listed in canonical
+    order with position i's choice barred or its suffix count pinned.
     """
     if m.n == 0:
         raise DomainError("the point polytope on the empty ground has no facet")
@@ -194,19 +195,22 @@ def face(m: LpdmSpec, facet: Facet) -> FaceResult:
         raise ArgumentError(f"facet index {facet.index} outside [1, {m.n}]")
     n = m.n
     i = facet.index
-    masks = interval(m.lower_mask(), m.upper_mask())
-
+    a, b = list(m.lower_mask().profile), list(m.upper_mask().profile)
+    take, skip = [(g,) for g in m.ground], [()] * n
     if facet.kind == "coordinate":
-        keep = [s for s in masks if (i in s.members) == bool(facet.level)]
+        if facet.level:
+            skip[i - 1] = None
+        else:
+            take[i - 1] = None
         kind = f"coordinate-{facet.level}"
     else:
-        bound = m.lower_mask() if facet.level == "lower" else m.upper_mask()
-        target = bound.profile[i - 1]
-        keep = [s for s in masks if sum(1 for x in s.members if x >= i) == target]
+        target = (a if facet.level == "lower" else b)[i - 1]
+        a[i - 1] = b[i - 1] = target
         kind = f"suffix-{facet.level}"
 
-    family = SetFamily(m.ground, tuple(m.labels(s) for s in keep))
-    if not keep:
+    rows = _completions(a, b, take, skip)
+    family = SetFamily._canonical(m.ground, tuple(map(frozenset, rows)))
+    if not rows:
         return FaceResult(family, None, kind)
 
     label = m.ground[i - 1]
@@ -218,5 +222,6 @@ def face(m: LpdmSpec, facet: Facet) -> FaceResult:
             zero = LpdmSpec((label,), frozenset(), frozenset())
             factors = (zero, delete(m, label))
     else:
-        factors = (_block_spec(m, 1, i, keep), _block_spec(m, i, n + 1, keep))
+        below = _block_spec(m.ground[: i - 1], [x - target for x in a[: i - 1]], [y - target for y in b[: i - 1]])
+        factors = (below, _block_spec(m.ground[i - 1 :], a[i - 1 :], b[i - 1 :]))
     return FaceResult(family, factors, kind)

@@ -573,11 +573,10 @@ def vertex_theorem(cap: int) -> str:
         h = hrep(m)
         verts = set(vertex_set(m))
         for bits in product((0, 1), repeat=n):
-            _ok(
-                contains(h, bits) == (bits in verts),
-                f"0/1 point {bits} misclassified for {m!r}",
-            )
-        _ok(count_lattice_points(h, 1) == len(verts), f"t=1 lattice count wrong for {m!r}")
+            if contains(h, bits) != (bits in verts):
+                raise CheckFailure(f"0/1 point {bits} misclassified for {m!r}")
+        if count_lattice_points(h, 1) != len(verts):
+            raise CheckFailure(f"t=1 lattice count wrong for {m!r}")
         specs += 1
     lp_points = 0
     for m in _specs_upto(min(cap, 4)):
@@ -591,10 +590,8 @@ def vertex_theorem(cap: int) -> str:
         v = rng.choice(verts)
         pts.append(tuple(Fraction(a + b, 2) for a, b in zip(u, v)))
         for x in pts:
-            _ok(
-                contains(h, x) == hull_membership(verts, x),
-                f"membership disagreement at {x} for {m!r}",
-            )
+            if contains(h, x) != hull_membership(verts, x):
+                raise CheckFailure(f"membership disagreement at {x} for {m!r}")
             lp_points += 1
     return f"{specs} specs 0/1-exact; {lp_points} rational points agree with the hull"
 
@@ -684,14 +681,18 @@ def face_consistency(cap: int) -> str:
                 res = face(m, Facet("coordinate", i, level))
                 label = m.ground[i - 1]
                 want = {a for a in members if (label in a) == bool(level)}
-                _ok(set(res.family.members) == want, f"coordinate face x_{i}={level} wrong on {m!r}")
+                if set(res.family.members) != want:
+                    raise CheckFailure(f"coordinate face x_{i}={level} wrong on {m!r}")
                 if want:
-                    _ok(res.factors is not None, f"nonempty face of {m!r} lacks factors")
+                    if res.factors is None:
+                        raise CheckFailure(f"nonempty face of {m!r} lacks factors")
                     grounds = [g for f in res.factors for g in f.ground]
-                    _ok(sorted(grounds) == sorted(m.ground), f"face factors of {m!r} do not split the ground")
-                    _ok(_family_product(res.factors) == want, f"face factors of {m!r} multiply wrong")
-                else:
-                    _ok(res.factors is None, f"empty face of {m!r} has factors")
+                    if sorted(grounds) != sorted(m.ground):
+                        raise CheckFailure(f"face factors of {m!r} do not split the ground")
+                    if _family_product(res.factors) != want:
+                        raise CheckFailure(f"face factors of {m!r} multiply wrong")
+                elif res.factors is not None:
+                    raise CheckFailure(f"empty face of {m!r} has factors")
                 faces += 1
             for side in ("lower", "upper"):
                 res = face(m, Facet("suffix", i, side))
@@ -700,9 +701,12 @@ def face_consistency(cap: int) -> str:
                     a for a in members
                     if sum(1 for x in a if m.position(x) >= i) == bound
                 }
-                _ok(set(res.family.members) == want, f"suffix face i={i} {side} wrong on {m!r}")
-                _ok(want and res.factors is not None, f"suffix face i={i} {side} of {m!r} empty")
-                _ok(_family_product(res.factors) == want, f"suffix face factors wrong on {m!r}")
+                if set(res.family.members) != want:
+                    raise CheckFailure(f"suffix face i={i} {side} wrong on {m!r}")
+                if not (want and res.factors is not None):
+                    raise CheckFailure(f"suffix face i={i} {side} of {m!r} empty")
+                if _family_product(res.factors) != want:
+                    raise CheckFailure(f"suffix face factors wrong on {m!r}")
                 faces += 1
     worked = LpdmSpec.of(5, frozenset({1, 3}), frozenset({2, 3, 5}))
     res = face(worked, Facet("coordinate", 3, 1))
@@ -855,10 +859,8 @@ def edge_directions(cap: int) -> str:
             if not is_edge(verts, u, v):
                 continue
             moved = sorted(b - a for a, b in zip(u, v) if a != b)
-            _ok(
-                moved in ([-1], [1], [-1, 1]),
-                f"edge {u} -> {v} of {m!r} uses a forbidden direction",
-            )
+            if moved not in ([-1], [1], [-1, 1]):
+                raise CheckFailure(f"edge {u} -> {v} of {m!r} uses a forbidden direction")
             edges += 1
     square = [(0, 0), (0, 1), (1, 0), (1, 1)]
     _ok(not is_edge(square, (0, 0), (1, 1)), "square diagonal certified as an edge")

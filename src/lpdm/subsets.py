@@ -39,6 +39,7 @@ __all__ = [
     "gale_leq",
     "gale_rank",
     "interval",
+    "interval_size",
     "is_valid_profile",
     "mask_from_profile",
     "profile_bounds",
@@ -65,6 +66,14 @@ class SubsetMask:
     @classmethod
     def of(cls, n: int, members=()) -> "SubsetMask":
         return cls(n, frozenset(members))
+
+    @classmethod
+    def _trusted(cls, n: int, members: frozenset[int]) -> "SubsetMask":
+        """A mask built inside the package from members already known to
+        lie in [1, n]: nothing is checked."""
+        s = object.__new__(cls)
+        s.__dict__.update(n=n, members=members)
+        return s
 
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -156,46 +165,89 @@ def gale_rank(s: SubsetMask) -> int:
     return sum(s.members)
 
 
-def interval(lower: SubsetMask, upper: SubsetMask) -> list[SubsetMask]:
-    """All subsets A with lower <= A <= upper, in canonical order."""
+def _require_interval(lower: SubsetMask, upper: SubsetMask) -> None:
     _require_same_n(lower, upper)
     if not gale_leq(lower, upper):
         raise OrderError(f"{lower!r} is not below {upper!r} in the Gale order")
+
+
+def _completions(a, b, take, skip) -> list[tuple]:
+    """Every position set of [n] whose suffix counts lie in the box
+    a <= . <= b, spelled as a tuple, in canonical order (by size, then
+    lexicographically).
+
+    Position i adds ``take[i - 1]`` to the tuple when it is in the set
+    and ``skip[i - 1]`` when it is not; None bars that choice.  A first
+    pass from position 1 up narrows the box to the suffix counts that a
+    choice on the positions before i can reach.  Then, from position n
+    down, ``row[c]`` lists the completions inside {i, ..., n} with c
+    members, those holding i first, so each row is in lexicographic
+    order and the sizes come out ascending.  Every completion built is
+    part of a member: setup is O(n^2), and each member costs O(n).
+    """
+    n = len(a)
+    reach = []
+    lo, hi = 0, n
+    for i in range(n):
+        lo, hi = max(lo, a[i]), min(hi, b[i])
+        reach.append((lo, hi))
+        # the count passed on to position i + 2 is one less where i + 1 is taken
+        lo -= take[i] is not None
+        hi -= skip[i] is None
+    row = {0: [()]}
+    for i in range(n, 0, -1):
+        x, y = take[i - 1], skip[i - 1]
+        lo, hi = reach[i - 1]
+        nxt = {}
+        for c in range(lo, hi + 1):
+            out = [x + t for t in row.get(c - 1, ())] if x is not None else []
+            if y is not None and c in row:
+                out += [y + t for t in row[c]] if y else row[c]
+            if out:
+                nxt[c] = out
+        row = nxt
+    return [t for ts in row.values() for t in ts]
+
+
+def interval(lower: SubsetMask, upper: SubsetMask) -> list[SubsetMask]:
+    """All subsets A with lower <= A <= upper, in canonical order."""
+    _require_interval(lower, upper)
     n = lower.n
+    rows = _completions(lower.profile, upper.profile, [(i,) for i in range(1, n + 1)], [()] * n)
+    mask = SubsetMask._trusted
+    return [mask(n, frozenset(t)) for t in rows]
+
+
+def interval_size(lower: SubsetMask, upper: SubsetMask) -> int:
+    """|[lower, upper]|, counted in O(n^2) integer steps without listing it."""
+    _require_interval(lower, upper)
     a, b = lower.profile, upper.profile
-    # Choose membership from position n down; c = |A inter {i+1, ..., n}|.
-    found: list[SubsetMask] = []
-    stack: list[tuple[int, int, frozenset[int]]] = [(n, 0, frozenset())]
-    while stack:
-        i, c, acc = stack.pop()
-        if i == 0:
-            found.append(SubsetMask(n, acc))
-            continue
-        if a[i - 1] <= c <= b[i - 1]:
-            stack.append((i - 1, c, acc))
-        if a[i - 1] <= c + 1 <= b[i - 1]:
-            stack.append((i - 1, c + 1, acc | {i}))
-    found.sort(key=sort_key)
-    return found
+    # row[c]: position sets inside {i, ..., n} with c members whose suffix counts stay in the box
+    row = [1]
+    for i in range(lower.n, 0, -1):
+        prev = row + [0]  # so prev[c - 1] reads 0 at c = 0
+        row = [prev[c] + prev[c - 1] if a[i - 1] <= c <= b[i - 1] else 0 for c in range(len(prev))]
+    return sum(row)
 
 
 def cover_successors(s: SubsetMask) -> list[SubsetMask]:
-    """Subsets covering S: slide some i in S to i+1, or adjoin 1."""
-    out = []
-    if s.n >= 1 and 1 not in s.members:
-        out.append(SubsetMask(s.n, s.members | {1}))
-    for i in sorted(s.members):
-        if i + 1 <= s.n and i + 1 not in s.members:
-            out.append(SubsetMask(s.n, (s.members - {i}) | {i + 1}))
-    out.sort(key=sort_key)
+    """Subsets covering S, in canonical order: slide some i in S to i+1
+    (larger i first gives the lexicographically smaller set), then
+    adjoin 1."""
+    n, members = s.n, s.members
+    out = [
+        SubsetMask._trusted(n, (members - {i}) | {i + 1})
+        for i in sorted(members, reverse=True)
+        if i < n and i + 1 not in members
+    ]
+    if n >= 1 and 1 not in members:
+        out.append(SubsetMask._trusted(n, members | {1}))
     return out
 
 
 def count_maximal_chains(lower: SubsetMask, upper: SubsetMask) -> int:
     """Number of saturated chains from ``lower`` to ``upper``."""
-    _require_same_n(lower, upper)
-    if not gale_leq(lower, upper):
-        raise OrderError(f"{lower!r} is not below {upper!r} in the Gale order")
+    _require_interval(lower, upper)
     # every cover raises the rank by one, so the chains reach upper after
     # exactly this many steps, and nothing else below upper has its rank;
     # a cover that adds e raises only the profile entry at e, so a
@@ -205,7 +257,7 @@ def count_maximal_chains(lower: SubsetMask, upper: SubsetMask) -> int:
     for _ in range(gale_rank(upper) - gale_rank(lower)):
         step: dict[frozenset[int], int] = {}
         for ms, count in ways.items():
-            for nxt in cover_successors(SubsetMask(lower.n, ms)):
+            for nxt in cover_successors(SubsetMask._trusted(lower.n, ms)):
                 (e,) = nxt.members - ms
                 if sum(1 for x in nxt.members if x >= e) <= top[e - 1]:
                     step[nxt.members] = step.get(nxt.members, 0) + count

@@ -135,6 +135,17 @@ def test_catalan_worked(capsys):
     }
 
 
+def test_catalan_counts_without_listing(capsys):
+    # binomial(24, 12) sets: listing them took over a minute, counting is O(n^2)
+    assert main(["catalan", "12"]) == 0
+    envelope, _ = payload_of(capsys)
+    assert envelope["payload"] == {
+        "n": 12,
+        "count": 2704156,
+        "spec": {"n": 24, "S": [], "T": list(range(1, 24, 2))},
+    }
+
+
 def test_domain_error_exit_one(capsys):
     assert main(["matroid", "delete", '{"n": 2, "S": [2], "T": [2], "element": 2}']) == 1
     envelope, _ = payload_of(capsys)

@@ -266,3 +266,15 @@ def test_catalan_spec():
     assert len(feasible_sets(catalan_spec(3))) == 20
     with pytest.raises(ArgumentError):
         catalan_spec(0)
+
+
+def test_feasible_sets_equal_the_validating_constructor(specs_n5_two_grounds):
+    for m in specs_n5_two_grounds:
+        fam = feasible_sets(m)
+        # the validating constructor dedups and sorts; here it changes nothing
+        checked = SetFamily(m.ground, fam.members[::-1] + fam.members)
+        assert fam == checked and fam.members == checked.members, m
+        positions = {g: i for i, g in enumerate(m.ground, start=1)}
+        assert {frozenset(positions[x] for x in a) for a in fam.members} == {
+            s.members for s in all_subsets(m.n) if gale_leq(m.lower_mask(), s) and gale_leq(s, m.upper_mask())
+        }

@@ -11,6 +11,7 @@ from lpdm import (
     Facet,
     HRep,
     LpdmSpec,
+    SubsetMask,
     contains,
     dimension,
     face,
@@ -20,6 +21,7 @@ from lpdm import (
     hrep,
     intersect,
     is_linked,
+    profile_bounds,
     relabel,
     vertex_set,
 )
@@ -208,3 +210,38 @@ def test_face_of_the_point_polytope():
     for facet in (Facet("suffix", 1, "upper"), Facet("coordinate", 1, 0)):
         with pytest.raises(DomainError, match="no facet"):
             face(LpdmSpec.of(0), facet)
+
+
+def block_spec_reference(ground, start, stop, position_sets):
+    """The spec on the positions start, ..., stop - 1 spanned by the parts
+    of the given position sets inside that block: their profile bounds."""
+    block = ground[start - 1 : stop - 1]
+    parts = [SubsetMask(stop - start, frozenset(p - start + 1 for p in a if start <= p < stop)) for a in position_sets]
+    lo, hi = profile_bounds(parts)
+    return LpdmSpec(block, frozenset(block[p - 1] for p in lo.members), frozenset(block[p - 1] for p in hi.members))
+
+
+def test_face_matches_filter_and_block_reference(specs_n5_two_grounds):
+    for m in (m for m in specs_n5_two_grounds if m.n <= 4):
+        members = feasible_sets(m).members
+        index = {g: p for p, g in enumerate(m.ground, start=1)}
+        positions = [frozenset(index[x] for x in a) for a in members]
+        for i in range(1, m.n + 1):
+            for level in (0, 1):
+                res = face(m, Facet("coordinate", i, level))
+                want = tuple(a for a, ps in zip(members, positions) if (i in ps) == bool(level))
+                assert res.family.members == want, (m, i, level)
+            for side in ("lower", "upper"):
+                target = (m.lower_mask() if side == "lower" else m.upper_mask()).profile[i - 1]
+                kept = [k for k, ps in enumerate(positions) if sum(1 for p in ps if p >= i) == target]
+                res = face(m, Facet("suffix", i, side))
+                assert res.family.members == tuple(members[k] for k in kept), (m, i, side)
+                parts = [positions[k] for k in kept]
+                want = (block_spec_reference(m.ground, 1, i, parts), block_spec_reference(m.ground, i, m.n + 1, parts))
+                assert res.factors == want, (m, i, side)
+
+
+def test_vertex_set_follows_feasible_sets(specs_n5_two_grounds):
+    for m in specs_n5_two_grounds:
+        want = [tuple(int(g in a) for g in m.ground) for a in feasible_sets(m).members]
+        assert vertex_set(m) == want

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,10 +15,13 @@ from lpdm import (
     gale_leq,
     gale_rank,
     interval,
+    interval_size,
     is_valid_profile,
     mask_from_profile,
+    profile_bounds,
     sort_key,
 )
+from lpdm.oracle import count_suffix_box
 from lpdm.selftest import gale_leq_definitional
 
 
@@ -140,3 +145,79 @@ def test_count_maximal_chains_values():
     assert count_maximal_chains(s, s) == 1
     with pytest.raises(OrderError):
         count_maximal_chains(mask(2, 2), mask(2, 1))
+
+
+def interval_reference(lower, upper):
+    """The stack-and-sort enumerator: choose membership from position n
+    down inside the profile box, then sort into canonical order."""
+    n = lower.n
+    a, b = lower.profile, upper.profile
+    found = []
+    stack = [(n, 0, frozenset())]
+    while stack:
+        i, c, acc = stack.pop()
+        if i == 0:
+            found.append(SubsetMask(n, acc))
+            continue
+        if a[i - 1] <= c <= b[i - 1]:
+            stack.append((i - 1, c, acc))
+        if a[i - 1] <= c + 1 <= b[i - 1]:
+            stack.append((i - 1, c + 1, acc | {i}))
+    found.sort(key=sort_key)
+    return found
+
+
+def comparable_pairs(n):
+    masks = list(all_subsets(n))
+    return [(s, t) for s in masks for t in masks if gale_leq(s, t)]
+
+
+def seeded_pairs(n, count):
+    """Comparable pairs on [n]: the profile bounds of two random subsets."""
+    rng = random.Random(f"pairs:{n}")
+    draw = lambda: SubsetMask(n, frozenset(x for x in range(1, n + 1) if rng.random() < 0.5))
+    return [profile_bounds([draw(), draw()]) for _ in range(count)]
+
+
+def test_interval_matches_stack_and_sort_reference():
+    for n in range(8):
+        for s, t in comparable_pairs(n):
+            assert interval(s, t) == interval_reference(s, t), (s, t)
+    for n in range(10, 15):
+        for s, t in seeded_pairs(n, 6):
+            got, want = interval(s, t), interval_reference(s, t)
+            assert got == want, (s, t)
+            # masks built without validation still compute their profiles
+            assert [x.profile for x in got] == [x.profile for x in want]
+
+
+def test_interval_size_matches_listing_and_oracle():
+    pairs = [p for n in range(8) for p in comparable_pairs(n)]
+    pairs += [p for n in range(8, 15) for p in seeded_pairs(n, 6)]
+    for s, t in pairs:
+        size = interval_size(s, t)
+        assert size == len(interval(s, t)) == count_suffix_box(s.profile, t.profile, 1), (s, t)
+    # the staircase on [2n] holds binomial(2n, n) sets; at n = 30 no listing could finish
+    stair = lambda n: SubsetMask(2 * n, frozenset(range(1, 2 * n, 2)))
+    assert interval_size(SubsetMask(24, frozenset()), stair(12)) == 2704156
+    assert interval_size(SubsetMask(60, frozenset()), stair(30)) == 118264581564861424
+
+
+def test_interval_size_rejects_bad_pairs():
+    with pytest.raises(OrderError):
+        interval_size(mask(2, 2), mask(2, 1))
+    with pytest.raises(ArgumentError):
+        interval_size(mask(2), mask(3))
+
+
+def cover_successors_reference(s):
+    """Adjoin 1 or slide an element up by one, then sort into canonical order."""
+    out = [SubsetMask(s.n, s.members | {1})] if s.n >= 1 and 1 not in s.members else []
+    out += [SubsetMask(s.n, (s.members - {i}) | {i + 1}) for i in s.members if i < s.n and i + 1 not in s.members]
+    return sorted(out, key=sort_key)
+
+
+def test_cover_successors_in_canonical_order():
+    for n in range(8):
+        for s in all_subsets(n):
+            assert cover_successors(s) == cover_successors_reference(s)
