@@ -14,10 +14,9 @@ The operations implemented here:
 * ``verify_exchange``      -- the symmetric exchange axiom, with witness.
 * ``classify_elements``    -- loops and coloops.
 * ``dual``, ``delete``, ``contract``, ``direct_sum``, ``intersect`` --
-  minors, sums and crossings, all returning interval specs again
-  (closed-form bound updates).
-* ``homogeneous_component`` -- the fixed-size layer: the crossing of
-  [S, T] with the interval of all k-subsets.
+  minors, sums and crossings, all returning interval specs again.
+* ``homogeneous_component`` -- the fixed-size layer: [S, T] with its
+  first suffix count pinned to k.
 * ``envelope_bases`` / ``envelope_project`` -- the lattice path matroid
   on the signed ground {-n, ..., -1, 1, ..., n} whose bases project onto
   the feasible vertices, plus the halving projection itself.
@@ -26,6 +25,11 @@ The operations implemented here:
 * ``catalan_spec``         -- the interval of symmetric paths weakly
   below the staircase that starts with an E step; its feasible count is
   the central binomial coefficient.
+
+Every spec derived from another (a minor, a crossing, a layer, a face
+block) comes from one move: pin a suffix count or fix a position in the
+box profile(S) <= F <= profile(T), then tighten the box back to the
+least and greatest profiles inside it (``_box_spec``).
 
 A lattice path matroid is an ``LpdmSpec`` whose two bounds have one
 size, so the layers and the envelope are specs like any other: between
@@ -37,9 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ArgumentError, DomainError, OrderError
-from .subsets import SubsetMask, _completions, gale_leq, interval_size, mask_from_profile, profile_bounds
+from .subsets import SubsetMask, _completions, gale_leq, interval_size
 
 __all__ = [
     "LpdmSpec",
@@ -170,8 +175,12 @@ class SetFamily:
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def _member_set(self) -> frozenset[frozenset[int]]:
+        return frozenset(self.members)
+
     def __contains__(self, fs) -> bool:
-        return frozenset(fs) in set(self.members)
+        return frozenset(fs) in self._member_set
 
     def sorted_member_lists(self) -> list[list[int]]:
         index = {g: i for i, g in enumerate(self.ground, start=1)}
@@ -192,7 +201,7 @@ def exchange_witness(family: SetFamily):
     symmetric difference (f = e allowed) makes A1 xor {e, f} feasible."""
     if not family.members:
         raise DomainError("the empty family has no feasible sets to exchange")
-    members = set(family.members)
+    members = family._member_set
     for a1 in family.members:
         for a2 in family.members:
             diff = a1 ^ a2
@@ -232,58 +241,58 @@ def dual(m: LpdmSpec) -> LpdmSpec:
     return LpdmSpec(m.ground, g - m.upper, g - m.lower)
 
 
-def delete(m: LpdmSpec, label: int) -> LpdmSpec:
-    """Feasible sets avoiding ``label``, on the ground without it.
+def _box_spec(ground: tuple[int, ...], lo, hi):
+    """The spec on ``ground`` whose feasible sets are the position sets
+    with suffix counts in the integer box lo <= . <= hi: its bounds are
+    the least profile above lo and the greatest below hi.  None when
+    some low entry exceeds its high entry, as the box then holds none."""
+    k = len(ground)
+    low, high = [0] * (k + 1), [0] * (k + 1)
+    for j in range(k - 1, -1, -1):
+        low[j] = max(lo[j], low[j + 1])
+        high[j] = min(hi[j], high[j + 1] + 1)
+    for j in range(1, k):
+        low[j] = max(low[j], low[j - 1] - 1)
+        high[j] = min(high[j], high[j - 1])
+    if any(x > y for x, y in zip(low, high)):
+        return None
+    return LpdmSpec(
+        ground,
+        frozenset(ground[j] for j in range(k) if low[j] > low[j + 1]),
+        frozenset(ground[j] for j in range(k) if high[j] > high[j + 1]),
+    )
 
-    Closed form on positions: if the deleted position p lies in the
-    lower bound, replace it by the smallest free position above it (it
-    exists unless p is a coloop); if p lies in the upper bound, replace
-    it by the largest free position below it, or drop it when no such
-    position exists.
+
+def _minor(m: LpdmSpec, label: int, x: int):
+    """The feasible sets that hold ``label`` x times (x = 0 or 1), less
+    the label, on the ground without it; None when there are none.
+
+    Removing position p lowers F_1..F_p by x, and F_p = F_{p+1} + x, so
+    their box entries merge into one.  The constant F_{n+1} = 0 is
+    carried as a last entry that must stay inside its box.
     """
     p = m.position(label)
-    n = m.n
-    if label in classify_elements(m)[1]:
+    lo, hi = m.lower_mask().profile + (0,), m.upper_mask().profile + (0,)
+    lo = [c - x for c in lo[: p - 1]] + [max(lo[p - 1] - x, lo[p])] + list(lo[p + 1 :])
+    hi = [c - x for c in hi[: p - 1]] + [min(hi[p - 1] - x, hi[p])] + list(hi[p + 1 :])
+    if not lo[-1] <= 0 <= hi[-1]:
+        return None
+    return _box_spec(m.ground[: p - 1] + m.ground[p:], lo[:-1], hi[:-1])
+
+
+def delete(m: LpdmSpec, label: int) -> LpdmSpec:
+    """Feasible sets avoiding ``label``, on the ground without it."""
+    if (out := _minor(m, label, 0)) is None:
         raise DomainError(f"element {label!r} is a coloop and cannot be deleted")
-    s = set(m.lower_mask().members)
-    t = set(m.upper_mask().members)
-    if p in s:
-        q = min(x for x in range(p + 1, n + 1) if x not in s)
-        s.discard(p)
-        s.add(q)
-    if p in t:
-        t.discard(p)
-        below = [x for x in range(1, p) if x not in t]
-        if below:
-            t.add(max(below))
-    new_ground = tuple(g for g in m.ground if g != label)
-    return LpdmSpec(new_ground, m.labels(frozenset(s)), m.labels(frozenset(t)))
+    return out
 
 
 def contract(m: LpdmSpec, label: int) -> LpdmSpec:
     """Feasible sets through ``label`` with the element removed, on the
-    ground without it.  Dual to deletion: if the contracted position p
-    is missing from the lower bound, drop the largest bound element
-    below it (if any); if missing from the upper bound, drop the
-    smallest bound element above it (it exists unless p is a loop).
-    """
-    p = m.position(label)
-    if label in classify_elements(m)[0]:
+    ground without it."""
+    if (out := _minor(m, label, 1)) is None:
         raise DomainError(f"element {label!r} is a loop and cannot be contracted")
-    s = set(m.lower_mask().members)
-    t = set(m.upper_mask().members)
-    if p in s:
-        s.discard(p)
-    else:
-        below = [x for x in s if x < p]
-        if below:
-            s.discard(max(below))
-    if p in t:
-        t.discard(p)
-    else:
-        t.discard(min(x for x in t if x > p))
-    new_ground = tuple(g for g in m.ground if g != label)
-    return LpdmSpec(new_ground, m.labels(frozenset(s)), m.labels(frozenset(t)))
+    return out
 
 
 def direct_sum(m1: LpdmSpec, m2: LpdmSpec) -> LpdmSpec:
@@ -312,31 +321,30 @@ def relabel(m: LpdmSpec, new_ground) -> LpdmSpec:
 
 def intersect(m1: LpdmSpec, m2: LpdmSpec):
     """The spec whose feasible sets (and polytope) are the intersection,
-    or None when empty.
-
-    Componentwise max of the lower profiles against componentwise min
-    of the upper profiles; both stay valid profiles.
+    or None when empty: the box between the componentwise max of the
+    lower profiles and the componentwise min of the upper profiles.
     """
     if m1.ground != m2.ground:
         raise ArgumentError("intersection needs a common ground")
     c = tuple(map(max, m1.lower_mask().profile, m2.lower_mask().profile))
     d = tuple(map(min, m1.upper_mask().profile, m2.upper_mask().profile))
-    if any(x > y for x, y in zip(c, d)):
-        return None
-    return LpdmSpec(m1.ground, m1.labels(mask_from_profile(c)), m1.labels(mask_from_profile(d)))
+    return _box_spec(m1.ground, c, d)
 
 
 def homogeneous_component(m: LpdmSpec, k: int):
     """The layer of feasible sets of size k, or None when empty.
 
-    The layer is a lattice path matroid: the crossing of [S, T] with
-    the hypersimplex interval [{1..k}, {n-k+1..n}] of all k-subsets, an
+    The size of a set is its first suffix count, so the layer is the box
+    of [S, T] with F_1 pinned to k.  It is a lattice path matroid: an
     ``LpdmSpec`` whose two bounds have size k.  Nothing is enumerated.
     """
     n = m.n
     if not 0 <= k <= n:
         raise ArgumentError(f"size {k} outside [0, {n}]")
-    return intersect(m, LpdmSpec(m.ground, m.ground[:k], m.ground[n - k :]))
+    if n == 0:
+        return m
+    a, b = m.lower_mask().profile, m.upper_mask().profile
+    return _box_spec(m.ground, (max(a[0], k),) + a[1:], (min(b[0], k),) + b[1:])
 
 
 def envelope_ground(n: int) -> tuple[int, ...]:
@@ -386,22 +394,19 @@ def project_element(family: SetFamily, label: int) -> SetFamily:
 
 
 def family_interval_bounds(family: SetFamily):
-    """(lower, upper, is_interval): the componentwise profile bounds of
-    the family and whether the family equals the full Gale interval
-    between them.  Families that are not intervals (projections, for
-    instance) report False."""
+    """(lower, upper, is_interval): the bounds of the smallest Gale
+    interval that holds the family, and whether the family equals it.
+    Families that are not intervals (projections, for instance) report
+    False."""
     if not family.members:
         raise DomainError("empty family")
     n = len(family.ground)
     index = {g: i for i, g in enumerate(family.ground, start=1)}
-    lo, hi = profile_bounds([SubsetMask(n, frozenset(index[x] for x in m)) for m in family.members])
+    profs = [SubsetMask(n, frozenset(index[x] for x in m)).profile for m in family.members]
+    spec = _box_spec(family.ground, tuple(map(min, zip(*profs))), tuple(map(max, zip(*profs))))
     # the interval holds every (distinct) member, so equal sizes mean equal families
-    is_interval = interval_size(lo, hi) == len(family.members)
-
-    def to_labels(s: SubsetMask) -> frozenset[int]:
-        return frozenset(family.ground[p - 1] for p in s.members)
-
-    return (to_labels(lo), to_labels(hi), is_interval)
+    is_interval = interval_size(spec.lower_mask(), spec.upper_mask()) == len(family.members)
+    return (spec.lower, spec.upper, is_interval)
 
 
 def catalan_spec(n: int) -> LpdmSpec:

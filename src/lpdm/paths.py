@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ArgumentError, DomainError, OrderError
-from .subsets import SubsetMask, gale_leq
+from .errors import ArgumentError, DomainError
+from .subsets import SubsetMask, _require_interval
 
 __all__ = [
     "PathWord",
@@ -137,8 +137,7 @@ class SkewBoxSet:
 
 def skew_boxes(lower: SubsetMask, upper: SubsetMask) -> SkewBoxSet:
     """Cells strictly between the bounding paths of ``lower`` and ``upper``."""
-    if not gale_leq(lower, upper):
-        raise OrderError(f"{lower!r} is not below {upper!r} in the Gale order")
+    _require_interval(lower, upper)
     lo = column_heights(path_from_subset(lower))
     hi = column_heights(path_from_subset(upper))
     cells = set()
@@ -160,8 +159,7 @@ def is_snake(lower: SubsetMask, upper: SubsetMask) -> bool:
 def bounding_path_meets(lower: SubsetMask, upper: SubsetMask) -> int:
     """Number of times the two bounding paths meet weakly above the
     antidiagonal: shared prefix-E counts after j >= n steps."""
-    if not gale_leq(lower, upper):
-        raise OrderError(f"{lower!r} is not below {upper!r} in the Gale order")
+    _require_interval(lower, upper)
     p = path_from_subset(lower).steps
     q = path_from_subset(upper).steps
     n = lower.n

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, DomainError
-from .matroid import LpdmSpec, SetFamily, contract, delete
+from .matroid import LpdmSpec, SetFamily, _box_spec, _minor
 from .subsets import _completions, is_valid_profile
 
 __all__ = [
@@ -161,25 +161,6 @@ class FaceResult:
     kind: str
 
 
-def _block_spec(ground: tuple[int, ...], lo, hi) -> LpdmSpec:
-    """The spec on ``ground`` whose feasible sets are the position sets
-    with suffix counts in the box lo <= . <= hi, which must hold one:
-    its bounds are the least profile above lo and the greatest below hi."""
-    k = len(ground)
-    low, high = [0] * (k + 1), [0] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        low[j] = max(lo[j], low[j + 1])
-        high[j] = min(hi[j], high[j + 1] + 1)
-    for j in range(1, k):
-        low[j] = max(low[j], low[j - 1] - 1)
-        high[j] = min(high[j], high[j - 1])
-    return LpdmSpec(
-        ground,
-        frozenset(ground[j] for j in range(k) if low[j] > low[j + 1]),
-        frozenset(ground[j] for j in range(k) if high[j] > high[j + 1]),
-    )
-
-
 def face(m: LpdmSpec, facet: Facet) -> FaceResult:
     """Feasible sets on a facet of the polytope, with its splitting.
 
@@ -215,13 +196,9 @@ def face(m: LpdmSpec, facet: Facet) -> FaceResult:
 
     label = m.ground[i - 1]
     if facet.kind == "coordinate":
-        if facet.level == 1:
-            one = LpdmSpec((label,), frozenset({label}), frozenset({label}))
-            factors = (one, contract(m, label))
-        else:
-            zero = LpdmSpec((label,), frozenset(), frozenset())
-            factors = (zero, delete(m, label))
+        point = frozenset({label}) if facet.level else frozenset()
+        factors = (LpdmSpec((label,), point, point), _minor(m, label, facet.level))
     else:
-        below = _block_spec(m.ground[: i - 1], [x - target for x in a[: i - 1]], [y - target for y in b[: i - 1]])
-        factors = (below, _block_spec(m.ground[i - 1 :], a[i - 1 :], b[i - 1 :]))
+        below = _box_spec(m.ground[: i - 1], [x - target for x in a[: i - 1]], [y - target for y in b[: i - 1]])
+        factors = (below, _box_spec(m.ground[i - 1 :], a[i - 1 :], b[i - 1 :]))
     return FaceResult(family, factors, kind)

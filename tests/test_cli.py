@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lpdm
 
@@ -303,3 +303,32 @@ def test_every_document_gets_an_envelope(group, action, doc):
         assert sorted(res.payload) == ["code", "message"]
         assert all(isinstance(v, str) for v in res.payload.values())
     json.dumps(res.payload, sort_keys=True)
+
+
+# Random values for the argv flags, kept within bounds whose answers stay
+# small: catalan's n, oracle count's --t on specs with n <= 4, selftest's
+# --max-n below its minimum, and render --svg into a directory that
+# exists and into one that does not.
+_flag_argv = st.one_of(
+    st.integers(-3, 12).map(lambda n: ["catalan", str(n)]),
+    st.builds(lambda spec, t: ["oracle", "count", json.dumps(spec), "--t", str(t)], _spec, st.integers(-2, 4)),
+    st.integers(-2, 0).map(lambda k: ["selftest", "--max-n", str(k)]),
+    st.builds(lambda spec, to: ["render", json.dumps(spec), "--svg", to], _spec, st.sampled_from(("x.svg", "missing/x.svg"))),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_flag_argv)
+def test_every_flag_value_gets_an_envelope(argv, tmp_path, capsys):
+    if argv[0] == "render":
+        argv = argv[:-1] + [str(tmp_path / argv[-1])]
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code in (0, 1, 2) and len(lines) == 1, argv
+    envelope = json.loads(lines[0])
+    if code == 0:
+        assert sorted(envelope) == ["payload", "status"] and envelope["status"] == "ok", argv
+    else:
+        assert sorted(envelope) == ["error", "status"] and envelope["status"] == "error", argv
+        assert sorted(envelope["error"]) == ["code", "message"], argv
+        assert all(isinstance(v, str) for v in envelope["error"].values()), argv

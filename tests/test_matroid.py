@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,15 @@ def test_spec_validates():
     assert m.position(3) == 3
     with pytest.raises(ArgumentError):
         m.position(9)
+
+
+def test_set_family_membership_is_constant_time():
+    fam = feasible_sets(LpdmSpec.of(14, (), range(1, 15)))
+    probes = [fam.members[i * 7919 % len(fam)] for i in range(5000)] + [{15}, {1, 16}] * 2500
+    start = time.perf_counter()
+    found = sum(1 for a in probes if a in fam)
+    assert time.perf_counter() - start < 1.0
+    assert found == 5000
 
 
 def test_set_family_canonical_order():
@@ -139,16 +149,80 @@ def test_contract_loop_rejected():
         contract(LpdmSpec.of(2, {1}, {1}), 2)
 
 
-def test_minors_match_filters(specs_n3):
-    for m in specs_n3:
+def delete_reference(m, label):
+    """Deletion in closed form on positions: a deleted position p in the
+    lower bound is replaced by the smallest free position above it (it
+    exists unless p is a coloop); p in the upper bound is replaced by
+    the largest free position below it, or dropped when there is none."""
+    p = m.position(label)
+    if label in classify_elements(m)[1]:
+        raise DomainError(f"element {label!r} is a coloop and cannot be deleted")
+    s, t = set(m.lower_mask().members), set(m.upper_mask().members)
+    if p in s:
+        s.discard(p)
+        s.add(min(x for x in range(p + 1, m.n + 1) if x not in s))
+    if p in t:
+        t.discard(p)
+        below = [x for x in range(1, p) if x not in t]
+        if below:
+            t.add(max(below))
+    return LpdmSpec(tuple(g for g in m.ground if g != label), m.labels(s), m.labels(t))
+
+
+def contract_reference(m, label):
+    """Contraction in closed form, dual to deletion: a contracted
+    position p missing from the lower bound drops the largest bound
+    element below it (if any); missing from the upper bound, it drops
+    the smallest bound element above it (it exists unless p is a loop)."""
+    p = m.position(label)
+    if label in classify_elements(m)[0]:
+        raise DomainError(f"element {label!r} is a loop and cannot be contracted")
+    s, t = set(m.lower_mask().members), set(m.upper_mask().members)
+    if p in s:
+        s.discard(p)
+    elif any(x < p for x in s):
+        s.discard(max(x for x in s if x < p))
+    if p in t:
+        t.discard(p)
+    else:
+        t.discard(min(x for x in t if x > p))
+    return LpdmSpec(tuple(g for g in m.ground if g != label), m.labels(s), m.labels(t))
+
+
+def outcome(op, *args):
+    try:
+        return op(*args)
+    except DomainError as exc:
+        return ("domain", str(exc))
+
+
+def test_minors_match_closed_forms(specs_n5_two_grounds):
+    refused = 0
+    for m in specs_n5_two_grounds:
+        for label in m.ground:
+            for op, reference in ((delete, delete_reference), (contract, contract_reference)):
+                got = outcome(op, m, label)
+                assert got == outcome(reference, m, label), (op.__name__, m, label)
+                refused += isinstance(got, tuple)
+    assert refused > 0  # the coloop and loop refusals are compared too
+
+
+def test_minors_match_filters(specs_n5_two_grounds):
+    for m in specs_n5_two_grounds:
         members = set(feasible_sets(m).members)
         for label in m.ground:
             keep = {a for a in members if label not in a}
             if keep:
                 assert set(feasible_sets(delete(m, label)).members) == keep
+            else:
+                with pytest.raises(DomainError, match="coloop"):
+                    delete(m, label)
             through = {a - {label} for a in members if label in a}
             if through:
                 assert set(feasible_sets(contract(m, label)).members) == through
+            else:
+                with pytest.raises(DomainError, match="loop"):
+                    contract(m, label)
 
 
 def test_direct_sum_bounds_union():

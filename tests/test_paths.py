@@ -94,8 +94,12 @@ def test_skew_boxes_worked():
 
 
 def test_skew_boxes_requires_comparable():
-    with pytest.raises(OrderError):
-        skew_boxes(mask(3, 1, 2), mask(3, 3))
+    message = r"^SubsetMask\(3, \{1,2\}\) is not below SubsetMask\(3, \{3\}\) in the Gale order$"
+    for op in (skew_boxes, bounding_path_meets):
+        with pytest.raises(OrderError, match=message):
+            op(mask(3, 1, 2), mask(3, 3))
+        with pytest.raises(ArgumentError):
+            op(mask(2), mask(3))
 
 
 def test_skew_boxes_antidiagonal_symmetry():
