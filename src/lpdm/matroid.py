@@ -111,6 +111,21 @@ class LpdmSpec:
             )
 
     @classmethod
+    def _trusted(cls, ground: tuple[int, ...], low, high) -> "LpdmSpec":
+        """A spec built inside the package on a checked ground from two
+        profiles, each with a closing 0, that are valid and ordered:
+        nothing is checked, and the masks start with their profiles."""
+        k = len(ground)
+        spec = object.__new__(cls)
+        for name, prof in (("lower", low), ("upper", high)):
+            mask = SubsetMask._trusted(k, frozenset(j + 1 for j in range(k) if prof[j] > prof[j + 1]))
+            mask.__dict__["profile"] = tuple(prof[:k])
+            spec.__dict__[name] = frozenset(ground[p - 1] for p in mask.members)
+            spec.__dict__[f"_{name}_mask"] = mask
+        spec.__dict__["ground"] = ground
+        return spec
+
+    @classmethod
     def of(cls, n: int, lower=(), upper=()) -> "LpdmSpec":
         return cls(tuple(range(1, n + 1)), frozenset(lower), frozenset(upper))
 
@@ -198,17 +213,47 @@ def feasible_sets(m: LpdmSpec) -> SetFamily:
 def exchange_witness(family: SetFamily):
     """None if the symmetric exchange axiom holds, else a witness
     (A1, A2, e) with e in the symmetric difference such that no f in the
-    symmetric difference (f = e allowed) makes A1 xor {e, f} feasible."""
+    symmetric difference (f = e allowed) makes A1 xor {e, f} feasible.
+
+    Members are read as bitmasks over the ground.  Take an A1 and an e
+    with A1 xor {e} infeasible (else f = e serves every A2), and let K
+    be e together with every f that makes A1 xor {e, f} feasible.  The
+    pair (A1, A2) fails at e exactly when A2 & K == (A1 & K) xor {e}, so
+    one lookup in the projections {A & K : A in F}, built once per K,
+    tells whether any A2 fails: O(|F| n^2) set lookups in all.  Only for
+    the first A1 that fails are the pairs scanned, so the witness is the
+    first (A2, e) in the canonical order of members and the iteration
+    order of A1 xor A2.
+    """
     if not family.members:
         raise DomainError("the empty family has no feasible sets to exchange")
-    members = family._member_set
-    for a1 in family.members:
-        for a2 in family.members:
-            diff = a1 ^ a2
-            for e in diff:
-                if not any(a1 ^ {e, f} in members for f in diff):
-                    return (a1, a2, e)
+    bit = {g: 1 << i for i, g in enumerate(family.ground)}
+    masks = [sum(bit[x] for x in a) for a in family.members]
+    feasible = set(masks)
+    bits = list(bit.values())
+    projections: dict[int, set[int]] = {}
+    for a1, x in zip(family.members, masks):
+        for b in bits:
+            y = x ^ b
+            if y in feasible:
+                continue
+            k = sum(c for c in bits if y ^ c in feasible)  # holds b, as y ^ b = x
+            if k not in projections:
+                projections[k] = {m & k for m in masks}
+            if (x & k) ^ b in projections[k]:
+                return _first_failure(family, a1)
     return None
+
+
+def _first_failure(family: SetFamily, a1: frozenset[int]):
+    """The first (A1, A2, e) that breaks the exchange axiom for a given
+    A1, by scanning every A2 and every e, f in their difference."""
+    members = family._member_set
+    for a2 in family.members:
+        diff = a1 ^ a2
+        for e in diff:
+            if not any(a1 ^ {e, f} in members for f in diff):
+                return (a1, a2, e)
 
 
 def verify_exchange(family: SetFamily) -> bool:
@@ -256,11 +301,7 @@ def _box_spec(ground: tuple[int, ...], lo, hi):
         high[j] = min(high[j], high[j - 1])
     if any(x > y for x, y in zip(low, high)):
         return None
-    return LpdmSpec(
-        ground,
-        frozenset(ground[j] for j in range(k) if low[j] > low[j + 1]),
-        frozenset(ground[j] for j in range(k) if high[j] > high[j + 1]),
-    )
+    return LpdmSpec._trusted(ground, low, high)
 
 
 def _minor(m: LpdmSpec, label: int, x: int):

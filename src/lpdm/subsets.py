@@ -42,7 +42,6 @@ __all__ = [
     "interval_size",
     "is_valid_profile",
     "mask_from_profile",
-    "profile_bounds",
     "sort_key",
 ]
 
@@ -148,16 +147,6 @@ def gale_leq(s: SubsetMask, t: SubsetMask) -> bool:
     """Suffix-count dominance order on subsets of [n]."""
     _require_same_n(s, t)
     return all(a <= b for a, b in zip(s.profile, t.profile))
-
-
-def profile_bounds(masks) -> tuple[SubsetMask, SubsetMask]:
-    """The componentwise minimum and maximum of the profiles of a
-    nonempty list of subsets of [n]: the bounds of the smallest Gale
-    interval that holds them all."""
-    profs = [s.profile for s in masks]
-    lo = tuple(min(col) for col in zip(*profs))
-    hi = tuple(max(col) for col in zip(*profs))
-    return mask_from_profile(lo), mask_from_profile(hi)
 
 
 def gale_rank(s: SubsetMask) -> int:

@@ -87,6 +87,13 @@ def test_matroid_component_of_the_40_cube(capsys):
     assert res.payload["component"]["T"] == [38, 39, 40]
 
 
+def test_matroid_axiom_on_the_12_cube(capsys):
+    spec = json.dumps({"n": 12, "S": [], "T": list(range(1, 13))})
+    assert main(["matroid", "axiom", spec]) == 0
+    envelope, _ = payload_of(capsys)
+    assert envelope == {"status": "ok", "payload": {"holds": True, "witness": None}}
+
+
 def test_tri_volume_of_the_60_cube(capsys):
     spec = json.dumps({"n": 60, "S": [], "T": list(range(1, 61))})
     assert main(["tri", "volume", spec]) == 0

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -25,11 +26,13 @@ from lpdm import (
     feasible_sets,
     gale_leq,
     homogeneous_component,
+    intersect,
     project_element,
     relabel,
     signed_label_set,
     verify_exchange,
 )
+from lpdm.matroid import _box_spec
 
 
 def fam(*sets):
@@ -102,6 +105,78 @@ def test_exchange_witness_on_violating_family():
     assert not verify_exchange(bad)
     with pytest.raises(DomainError):
         exchange_witness(SetFamily((1, 2), ()))
+
+
+def exchange_witness_reference(family):
+    """The symmetric exchange axiom pair by pair: for every A1, A2 and e
+    in their difference, look for an f in it with A1 xor {e, f} feasible."""
+    if not family.members:
+        raise DomainError("the empty family has no feasible sets to exchange")
+    members = set(family.members)
+    for a1 in family.members:
+        for a2 in family.members:
+            diff = a1 ^ a2
+            for e in diff:
+                if not any(a1 ^ {e, f} in members for f in diff):
+                    return (a1, a2, e)
+    return None
+
+
+def random_families(count):
+    """Seeded families with n <= 6 on labels drawn from [-8, 8], with up
+    to 12 members."""
+    rng = random.Random("exchange-families")
+    for _ in range(count):
+        ground = tuple(rng.sample(range(-8, 9), rng.randint(0, 6)))
+        draw = lambda: frozenset(x for x in ground if rng.random() < 0.5)
+        yield SetFamily(ground, tuple(draw() for _ in range(rng.randint(1, 12))))
+
+
+def test_exchange_witness_matches_reference(specs_n5_two_grounds):
+    intervals = [feasible_sets(m) for m in specs_n5_two_grounds]
+    # distinct nonempty projections, in a fixed order
+    projections = dict.fromkeys(p for f in intervals for g in f.ground if (p := project_element(f, g)).members)
+    failing = 0
+    for family in intervals + list(projections) + list(random_families(10_000)):
+        got = exchange_witness(family)
+        assert got == exchange_witness_reference(family), family
+        failing += got is not None
+    assert failing > 1000  # the witnesses are compared, not only None
+
+
+def test_exchange_witness_on_the_n12_staircase():
+    family = feasible_sets(LpdmSpec.of(12, (), (1, 3, 5, 7, 9, 11)))
+    assert len(family) == 924
+    start = time.perf_counter()
+    assert exchange_witness(family) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def test_box_specs_equal_the_validating_constructor(specs_n5_two_grounds):
+    built = []
+    for m in specs_n5_two_grounds:
+        for label in m.ground:
+            for op in (delete, contract):
+                try:
+                    built.append(op(m, label))
+                except DomainError:
+                    pass
+        built += [homogeneous_component(m, k) for k in range(m.n + 1)]
+        built.append(_box_spec(m.ground, m.lower_mask().profile, m.upper_mask().profile))
+    by_ground = {}
+    for m in specs_n5_two_grounds:
+        by_ground.setdefault(m.ground, []).append(m)
+    for specs in by_ground.values():
+        # every pair up to n = 4; at n = 5 (462 specs, 26 us a crossing) every 21st spec meets all
+        built += [intersect(m1, m2) for m1 in specs[:: 1 if len(specs) < 462 else 21] for m2 in specs]
+    # equal specs with the same profiles are checked once
+    built = {(b, b.lower_mask().profile, b.upper_mask().profile) for b in built if b is not None}
+    assert len(built) > 1000
+    for b, _, _ in built:
+        assert b == LpdmSpec(b.ground, b.lower, b.upper)
+        index = {g: i for i, g in enumerate(b.ground, start=1)}
+        for mask, side in ((b.lower_mask(), b.lower), (b.upper_mask(), b.upper)):
+            assert mask.profile == SubsetMask(b.n, frozenset(index[x] for x in side)).profile
 
 
 def test_classify_elements():

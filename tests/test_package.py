@@ -15,7 +15,7 @@ envelope_project eulerian_number eulerian_simplex exchange_witness face
 family_interval_bounds feasible_sets fractional_prefix_sums gale_leq gale_rank
 homogeneous_component hrep hull_membership intersect interval interval_size is_edge is_linked
 is_snake is_symmetric is_toric is_valid_profile mask_from_profile path_from_subset
-path_leq path_points permutation_to_chain perms_with_descent_set profile_bounds
+path_leq path_points permutation_to_chain perms_with_descent_set
 project_element relabel signed_label_set simplex_cell simplex_volume skew_boxes
 skew_svg sort_key subdivide subset_from_path triangulate_toric verify_exchange
 vertex_set volume
@@ -23,7 +23,7 @@ vertex_set volume
 
 
 def test_root_names_are_pinned():
-    assert len(ROOT_NAMES) == 84
+    assert len(ROOT_NAMES) == 83
     assert sorted(lpdm.__all__) == sorted(ROOT_NAMES)
     assert all(callable(getattr(lpdm, name)) for name in lpdm.__all__)
     assert not hasattr(lpdm, "count_suffix_box")

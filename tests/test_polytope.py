@@ -21,7 +21,7 @@ from lpdm import (
     hrep,
     intersect,
     is_linked,
-    profile_bounds,
+    mask_from_profile,
     relabel,
     vertex_set,
 )
@@ -217,10 +217,12 @@ def test_face_of_the_point_polytope():
 
 def block_spec_reference(ground, start, stop, position_sets):
     """The spec on the positions start, ..., stop - 1 spanned by the parts
-    of the given position sets inside that block: their profile bounds."""
+    of the given position sets inside that block: the componentwise
+    minimum and maximum of their profiles."""
     block = ground[start - 1 : stop - 1]
     parts = [SubsetMask(stop - start, frozenset(p - start + 1 for p in a if start <= p < stop)) for a in position_sets]
-    lo, hi = profile_bounds(parts)
+    profs = [s.profile for s in parts]
+    lo, hi = mask_from_profile(map(min, zip(*profs))), mask_from_profile(map(max, zip(*profs)))
     return LpdmSpec(block, frozenset(block[p - 1] for p in lo.members), frozenset(block[p - 1] for p in hi.members))
 
 

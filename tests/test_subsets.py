@@ -18,7 +18,6 @@ from lpdm import (
     interval_size,
     is_valid_profile,
     mask_from_profile,
-    profile_bounds,
     sort_key,
 )
 from lpdm.oracle import count_suffix_box
@@ -170,6 +169,14 @@ def interval_reference(lower, upper):
 def comparable_pairs(n):
     masks = list(all_subsets(n))
     return [(s, t) for s in masks for t in masks if gale_leq(s, t)]
+
+
+def profile_bounds(masks):
+    """The componentwise minimum and maximum of the profiles of a
+    nonempty list of subsets of [n]: the bounds of the smallest Gale
+    interval that holds them all."""
+    profs = [s.profile for s in masks]
+    return mask_from_profile(map(min, zip(*profs))), mask_from_profile(map(max, zip(*profs)))
 
 
 def seeded_pairs(n, count):
