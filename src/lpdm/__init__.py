@@ -8,25 +8,36 @@ operations, polytope geometry, unimodular triangulations, and
 independent counting oracles, all in integer and rational arithmetic.
 """
 
-from . import matroid, oracle, paths, perms, polytope, subsets, triangulate
-from .errors import ArgumentError, DomainError, LpdmError, OrderError, UsageError
-from .matroid import *  # noqa: F403
-from .oracle import *  # noqa: F403
-from .paths import *  # noqa: F403
-from .perms import *  # noqa: F403
-from .polytope import *  # noqa: F403
-from .subsets import *  # noqa: F403
-from .triangulate import *  # noqa: F403
-
-# the oracle's suffix-box count stays behind its module, beside the
-# dynamic program it is checked against
-del count_suffix_box  # noqa: F821
-
 __version__ = "0.1.0"
 
-__all__ = sorted(
-    {"ArgumentError", "DomainError", "LpdmError", "OrderError", "UsageError"}.union(
-        *(mod.__all__ for mod in (matroid, oracle, paths, perms, polytope, subsets, triangulate))
-    )
-    - {"count_suffix_box"}
-)
+_ERRORS = ("ArgumentError", "DomainError", "LpdmError", "OrderError", "UsageError")
+_MODULES = ("matroid", "oracle", "paths", "perms", "polytope", "subsets", "triangulate")
+
+
+def _public() -> list[str]:
+    """Bind the public names of the library here on first use, and list
+    them: the root is lazy (PEP 562), so ``import lpdm`` loads no module."""
+    root = globals()
+    if "__all__" not in root:
+        from importlib import import_module
+
+        public = {name: getattr(import_module(".errors", __name__), name) for name in _ERRORS}
+        for mod in (import_module(f".{short}", __name__) for short in _MODULES):
+            public.update((name, getattr(mod, name)) for name in mod.__all__)
+        # the oracle's suffix-box count stays behind its module, beside the
+        # dynamic program it is checked against
+        del public["count_suffix_box"]
+        root.update(public, __all__=sorted(public))
+    return root["__all__"]
+
+
+def __getattr__(name: str):
+    if name == "__all__" or not name.startswith("__"):
+        _public()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return _public()

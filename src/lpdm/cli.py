@@ -17,63 +17,20 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Sequence
 
-from .errors import LpdmError, UsageError
-from .jsonio import (
-    facet_from_json,
-    family_json,
-    frac_str,
-    hrep_json,
-    layer_json,
-    parse_int,
-    parse_point,
-    parse_spec,
-    parse_subset,
-    simplex_json,
-    spec_json,
-)
-from .matroid import (
-    catalan_spec,
-    classify_elements,
-    contract,
-    delete,
-    direct_sum,
-    dual,
-    envelope_bases,
-    exchange_witness,
-    family_interval_bounds,
-    feasible_sets,
-    homogeneous_component,
-    intersect,
-    project_element,
-)
-from .oracle import count_lattice_points, ehrhart_volume, hull_membership
-from .paths import PathWord, path_from_subset, path_leq, skew_svg, subset_from_path
-from .perms import Permutation
-from .polytope import contains, dimension, face, hrep, is_linked, vertex_set
-from .subsets import (
-    cover_successors,
-    count_maximal_chains,
-    gale_leq,
-    gale_rank,
-    interval,
-    interval_size,
-)
-from .triangulate import simplex_cell, subdivide, triangulate_toric, volume
+# each handler imports what it uses, so a call loads only what its command needs
+from .errors import Frozen, LpdmError, UsageError
 
 __all__ = ["CommandResult", "main", "run"]
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    status: str
-    payload: object
-    milliseconds: float
-    exit_code: int
-    log: str = ""
+class CommandResult(Frozen):
+    _fields = ("status", "payload", "milliseconds", "exit_code", "log")
+
+    def __init__(self, status: str, payload: object, milliseconds: float, exit_code: int, log: str = "") -> None:
+        self.__dict__.update(status=status, payload=payload, milliseconds=milliseconds, exit_code=exit_code, log=log)
 
 
 def _load(ns: argparse.Namespace) -> dict:
@@ -93,7 +50,8 @@ def _sub(obj: dict, key: str) -> dict:
     return val
 
 
-def _word(obj: dict, key: str) -> PathWord:
+def _word(obj: dict, key: str):
+    from .paths import PathWord
     val = obj.get(key)
     if not isinstance(val, str):
         raise UsageError(f"'{key}' must be a step word string")
@@ -108,49 +66,65 @@ def _members(masks) -> list[list[int]]:
 
 
 def _order_leq(ns):
+    from .jsonio import parse_subset
+    from .subsets import gale_leq
     obj = _load(ns)
     return {"leq": gale_leq(parse_subset(obj, "S"), parse_subset(obj, "T"))}
 
 
 def _order_rank(ns):
+    from .jsonio import parse_subset
+    from .subsets import gale_rank
     obj = _load(ns)
     return {"rank": gale_rank(parse_subset(obj, "S"))}
 
 
 def _order_interval(ns):
+    from .jsonio import parse_subset
+    from .subsets import interval
     obj = _load(ns)
     members = interval(parse_subset(obj, "S"), parse_subset(obj, "T"))
     return {"count": len(members), "members": _members(members)}
 
 
 def _order_chains(ns):
+    from .jsonio import parse_subset
+    from .subsets import count_maximal_chains
     obj = _load(ns)
     return {"count": count_maximal_chains(parse_subset(obj, "S"), parse_subset(obj, "T"))}
 
 
 def _order_covers(ns):
+    from .jsonio import parse_subset
+    from .subsets import cover_successors
     obj = _load(ns)
     succ = cover_successors(parse_subset(obj, "S"))
     return {"count": len(succ), "successors": _members(succ)}
 
 
 def _path_encode(ns):
+    from .jsonio import parse_subset
+    from .paths import path_from_subset
     obj = _load(ns)
     return {"word": path_from_subset(parse_subset(obj, "S")).steps}
 
 
 def _path_decode(ns):
+    from .paths import subset_from_path
     obj = _load(ns)
     s = subset_from_path(_word(obj, "word"))
     return {"S": sorted(s.members), "n": s.n}
 
 
 def _path_leq(ns):
+    from .paths import path_leq
     obj = _load(ns)
     return {"leq": path_leq(_word(obj, "P"), _word(obj, "Q"))}
 
 
 def _matroid_feasible(ns):
+    from .jsonio import family_json, parse_spec, spec_json
+    from .matroid import feasible_sets
     m = parse_spec(_load(ns))
     fam = feasible_sets(m)
     out = family_json(fam)
@@ -160,6 +134,8 @@ def _matroid_feasible(ns):
 
 
 def _matroid_axiom(ns):
+    from .jsonio import parse_spec
+    from .matroid import exchange_witness, feasible_sets
     m = parse_spec(_load(ns))
     witness = exchange_witness(feasible_sets(m))
     if witness is None:
@@ -169,37 +145,51 @@ def _matroid_axiom(ns):
 
 
 def _matroid_loops(ns):
+    from .jsonio import parse_spec
+    from .matroid import classify_elements
     loops, coloops = classify_elements(parse_spec(_load(ns)))
     return {"loops": sorted(loops), "coloops": sorted(coloops)}
 
 
 def _matroid_dual(ns):
+    from .jsonio import parse_spec, spec_json
+    from .matroid import dual
     return {"spec": spec_json(dual(parse_spec(_load(ns))))}
 
 
 def _matroid_delete(ns):
+    from .jsonio import parse_int, parse_spec, spec_json
+    from .matroid import delete
     obj = _load(ns)
     return {"spec": spec_json(delete(parse_spec(obj), parse_int(obj, "element")))}
 
 
 def _matroid_contract(ns):
+    from .jsonio import parse_int, parse_spec, spec_json
+    from .matroid import contract
     obj = _load(ns)
     return {"spec": spec_json(contract(parse_spec(obj), parse_int(obj, "element")))}
 
 
 def _matroid_sum(ns):
+    from .jsonio import parse_spec, spec_json
+    from .matroid import direct_sum
     obj = _load(ns)
     m = direct_sum(parse_spec(_sub(obj, "first")), parse_spec(_sub(obj, "second")))
     return {"spec": spec_json(m)}
 
 
 def _matroid_component(ns):
+    from .jsonio import layer_json, parse_int, parse_spec
+    from .matroid import homogeneous_component
     obj = _load(ns)
     comp = homogeneous_component(parse_spec(obj), parse_int(obj, "k"))
     return {"k": obj["k"], "component": None if comp is None else layer_json(comp)}
 
 
 def _matroid_envelope(ns):
+    from .jsonio import family_json, parse_spec
+    from .matroid import envelope_bases
     fam = envelope_bases(parse_spec(_load(ns)))
     out = family_json(fam)
     out["count"] = len(fam)
@@ -207,6 +197,8 @@ def _matroid_envelope(ns):
 
 
 def _matroid_project(ns):
+    from .jsonio import family_json, parse_int, parse_spec
+    from .matroid import family_interval_bounds, feasible_sets, project_element
     obj = _load(ns)
     fam = project_element(feasible_sets(parse_spec(obj)), parse_int(obj, "element"))
     lower, upper, is_int = family_interval_bounds(fam)
@@ -217,26 +209,36 @@ def _matroid_project(ns):
 
 
 def _polytope_hrep(ns):
+    from .jsonio import hrep_json, parse_spec
+    from .polytope import hrep
     return hrep_json(hrep(parse_spec(_load(ns))))
 
 
 def _polytope_dim(ns):
+    from .jsonio import parse_spec
+    from .polytope import dimension, is_linked
     m = parse_spec(_load(ns))
     return {"dimension": dimension(m), "linked": is_linked(m)}
 
 
 def _polytope_contains(ns):
+    from .jsonio import parse_point, parse_spec
+    from .polytope import contains, hrep
     obj = _load(ns)
     return {"contains": contains(hrep(parse_spec(obj)), parse_point(obj.get("x")))}
 
 
 def _polytope_intersect(ns):
+    from .jsonio import parse_spec, spec_json
+    from .matroid import intersect
     obj = _load(ns)
     m = intersect(parse_spec(_sub(obj, "first")), parse_spec(_sub(obj, "second")))
     return {"spec": None if m is None else spec_json(m)}
 
 
 def _polytope_face(ns):
+    from .jsonio import facet_from_json, family_json, parse_spec, spec_json
+    from .polytope import face
     obj = _load(ns)
     res = face(parse_spec(obj), facet_from_json(_sub(obj, "facet")))
     out = {"kind": res.kind, "family": family_json(res.family)}
@@ -245,16 +247,22 @@ def _polytope_face(ns):
 
 
 def _polytope_vertices(ns):
+    from .jsonio import parse_spec
+    from .polytope import vertex_set
     verts = vertex_set(parse_spec(_load(ns)))
     return {"count": len(verts), "vertices": [list(v) for v in verts]}
 
 
 def _tri_simplices(ns):
+    from .jsonio import parse_spec, simplex_json
+    from .triangulate import triangulate_toric
     simps = triangulate_toric(parse_spec(_load(ns)))
     return {"count": len(simps), "simplices": [simplex_json(x) for x in simps]}
 
 
 def _tri_label(ns):
+    from .perms import Permutation
+    from .triangulate import simplex_cell
     obj = _load(ns)
     images = obj.get("perm")
     if not isinstance(images, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in images):
@@ -264,24 +272,37 @@ def _tri_label(ns):
 
 
 def _tri_subdivide(ns):
+    from .jsonio import parse_spec, spec_json
+    from .triangulate import subdivide
     cells = subdivide(parse_spec(_load(ns))).cells
     return {"count": len(cells), "cells": [spec_json(c) for c in cells]}
 
 
 def _tri_volume(ns):
+    from .jsonio import frac_str, parse_spec
+    from .triangulate import volume
     return frac_str(volume(parse_spec(_load(ns))))
 
 
 def _oracle_volume(ns):
+    from .jsonio import frac_str, parse_spec
+    from .oracle import ehrhart_volume
+    from .polytope import hrep
     return frac_str(ehrhart_volume(hrep(parse_spec(_load(ns)))))
 
 
 def _oracle_count(ns):
+    from .jsonio import parse_spec
+    from .oracle import count_lattice_points
+    from .polytope import hrep
     m = parse_spec(_load(ns))
     return {"t": ns.t, "count": count_lattice_points(hrep(m), ns.t)}
 
 
 def _oracle_member(ns):
+    from .jsonio import parse_point, parse_spec
+    from .oracle import hull_membership
+    from .polytope import vertex_set
     obj = _load(ns)
     m = parse_spec(obj)
     x = parse_point(obj.get("x"))
@@ -289,11 +310,16 @@ def _oracle_member(ns):
 
 
 def _catalan(ns):
+    from .jsonio import spec_json
+    from .matroid import catalan_spec
+    from .subsets import interval_size
     m = catalan_spec(ns.n)
     return {"n": ns.n, "spec": spec_json(m), "count": interval_size(m.lower_mask(), m.upper_mask())}
 
 
 def _render(ns):
+    from .jsonio import parse_spec
+    from .paths import skew_svg
     m = parse_spec(_load(ns))
     svg = skew_svg(m.lower_mask(), m.upper_mask())
     with open(ns.svg, "w", encoding="utf-8") as fh:
@@ -364,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_selftest(ns) -> tuple[object, int, str]:
     from .selftest import run_selftest  # only this command needs the registry
-
     rows = run_selftest(ns.max_n)
     width = max(len(r.name) for r in rows)
     lines = [

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types and the value-class base shared across the package.
 
 Three failure flavours, distinguished so the command line tool can map
 them to machine-readable reason codes:
@@ -39,3 +39,32 @@ class UsageError(Exception):
     Deliberately not an ``LpdmError``: usage problems exit with a
     different status code than domain problems.
     """
+
+
+class Frozen:
+    """Base of the package's immutable value classes.  A subclass names its
+    fields in ``_fields`` and sets them in ``__init__`` through ``__dict__``
+    (as ``functools.cached_property`` does).  Instances of one class are
+    equal when their fields are, in order, and hash as their field tuple."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__

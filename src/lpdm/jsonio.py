@@ -9,13 +9,18 @@ from the constructors.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import UsageError
-from .matroid import LpdmSpec, SetFamily
-from .polytope import Facet, HRep
-from .subsets import SubsetMask
-from .triangulate import LatticeSimplex
+
+# a library type is imported where a value is built: a command loads only what it uses
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .matroid import LpdmSpec, SetFamily
+    from .polytope import Facet, HRep
+    from .subsets import SubsetMask
+    from .triangulate import LatticeSimplex
 
 __all__ = [
     "facet_from_json",
@@ -54,6 +59,7 @@ def parse_int_list(val, key: str) -> list[int]:
 
 
 def parse_subset(obj, key: str = "S", n_key: str = "n") -> SubsetMask:
+    from .subsets import SubsetMask
     obj = _require_dict(obj, "input")
     n = parse_int(obj, n_key)
     if key not in obj:
@@ -62,6 +68,7 @@ def parse_subset(obj, key: str = "S", n_key: str = "n") -> SubsetMask:
 
 
 def parse_spec(obj) -> LpdmSpec:
+    from .matroid import LpdmSpec
     obj = _require_dict(obj, "spec")
     ground = obj.get("ground")
     if ground is not None:
@@ -105,11 +112,13 @@ def hrep_json(h: HRep) -> dict:
 
 
 def frac_str(q) -> str:
+    from fractions import Fraction
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 
 def parse_frac(val) -> Fraction:
+    from fractions import Fraction
     if isinstance(val, bool):
         raise UsageError(f"not a rational: {val!r}")
     if isinstance(val, int):
@@ -136,6 +145,7 @@ def simplex_json(simp: LatticeSimplex) -> dict:
 
 
 def facet_from_json(obj) -> Facet:
+    from .polytope import Facet
     obj = _require_dict(obj, "facet")
     kind = obj.get("kind")
     if kind not in ("coordinate", "suffix"):

@@ -39,12 +39,14 @@ sorted tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .errors import ArgumentError, DomainError, OrderError
+from .errors import ArgumentError, DomainError, Frozen, OrderError
 from .subsets import SubsetMask, _completions, gale_leq, interval_size
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "LpdmSpec",
@@ -77,38 +79,28 @@ def _check_ground(ground: tuple[int, ...]) -> None:
         raise ArgumentError(f"ground labels must be distinct: {ground!r}")
 
 
-@dataclass(frozen=True)
-class LpdmSpec:
+class LpdmSpec(Frozen):
     """The delta matroid with feasible sets the Gale interval [lower, upper].
 
     The bounds are label sets; their positional masks are computed once,
     on construction, and take no part in equality or hashing.
     """
 
-    ground: tuple[int, ...]
-    lower: frozenset[int]
-    upper: frozenset[int]
-    _lower_mask: SubsetMask = field(init=False, repr=False, compare=False)
-    _upper_mask: SubsetMask = field(init=False, repr=False, compare=False)
+    _fields = ("ground", "lower", "upper")
 
-    def __post_init__(self) -> None:
-        ground = tuple(self.ground)
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "lower", frozenset(self.lower))
-        object.__setattr__(self, "upper", frozenset(self.upper))
+    def __init__(self, ground: tuple[int, ...], lower: frozenset[int], upper: frozenset[int]) -> None:
+        ground = tuple(ground)
+        lower, upper = frozenset(lower), frozenset(upper)
         _check_ground(ground)
-        for side in (self.lower, self.upper):
+        for side in (lower, upper):
             if not side <= set(ground):
                 raise ArgumentError(f"bound {sorted(side)!r} is not within the ground {ground!r}")
         index = {g: i for i, g in enumerate(ground, start=1)}
-        lower = SubsetMask(len(ground), frozenset(index[x] for x in self.lower))
-        upper = SubsetMask(len(ground), frozenset(index[x] for x in self.upper))
-        object.__setattr__(self, "_lower_mask", lower)
-        object.__setattr__(self, "_upper_mask", upper)
-        if not gale_leq(lower, upper):
-            raise OrderError(
-                f"lower bound {sorted(self.lower)!r} is not below {sorted(self.upper)!r}"
-            )
+        lower_mask = SubsetMask(len(ground), frozenset(index[x] for x in lower))
+        upper_mask = SubsetMask(len(ground), frozenset(index[x] for x in upper))
+        if not gale_leq(lower_mask, upper_mask):
+            raise OrderError(f"lower bound {sorted(lower)!r} is not below {sorted(upper)!r}")
+        self.__dict__.update(ground=ground, lower=lower, upper=upper, _lower_mask=lower_mask, _upper_mask=upper_mask)
 
     @classmethod
     def _trusted(cls, ground: tuple[int, ...], low, high) -> "LpdmSpec":
@@ -152,23 +144,29 @@ class LpdmSpec:
     def standard_ground(self) -> bool:
         return self.ground == tuple(range(1, self.n + 1))
 
+    # specs are dict keys and set members on the hot paths: compare the fields directly
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ground, self.lower, self.upper) == (other.ground, other.lower, other.upper)
+        return NotImplemented
 
-@dataclass(frozen=True)
-class SetFamily:
+    def __hash__(self) -> int:
+        return hash((self.ground, self.lower, self.upper))
+
+
+class SetFamily(Frozen):
     """A finite family of subsets of a labelled ground, kept in the
     canonical order (by size, then by ground position)."""
 
-    ground: tuple[int, ...]
-    members: tuple[frozenset[int], ...]
+    _fields = ("ground", "members")
 
-    def __post_init__(self) -> None:
-        ground = tuple(self.ground)
-        object.__setattr__(self, "ground", ground)
+    def __init__(self, ground: tuple[int, ...], members: tuple[frozenset[int], ...]) -> None:
+        ground = tuple(ground)
         _check_ground(ground)
         index = {g: i for i, g in enumerate(ground, start=1)}
         seen = set()
         normal = []
-        for m in self.members:
+        for m in members:
             fs = frozenset(m)
             if not fs <= set(ground):
                 raise ArgumentError(f"member {sorted(fs)!r} is not within the ground {ground!r}")
@@ -176,7 +174,7 @@ class SetFamily:
                 seen.add(fs)
                 normal.append(fs)
         normal.sort(key=lambda fs: (len(fs), tuple(sorted(index[x] for x in fs))))
-        object.__setattr__(self, "members", tuple(normal))
+        self.__dict__.update(ground=ground, members=tuple(normal))
 
     @classmethod
     def _canonical(cls, ground: tuple[int, ...], members: tuple[frozenset[int], ...]) -> "SetFamily":
@@ -412,6 +410,7 @@ def envelope_bases(m: LpdmSpec) -> SetFamily:
 def envelope_project(basis: frozenset[int], n: int) -> tuple[Fraction, ...]:
     """Halving projection from the signed cube to the cube: coordinate i
     of the image of the indicator vector of B is ((x_i - x_{-i}) + 1)/2."""
+    from fractions import Fraction
     basis = frozenset(basis)
     if len(basis) != n:
         raise ArgumentError(f"expected an n-subset of the signed ground, got {sorted(basis)!r}")

@@ -12,9 +12,7 @@ Gale order on the corresponding subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, Frozen
 from .subsets import SubsetMask, _require_interval
 
 __all__ = [
@@ -33,17 +31,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PathWord:
+class PathWord(Frozen):
     """A balanced word over {E, N}."""
 
-    steps: str
+    _fields = ("steps",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.steps, str) or any(c not in "EN" for c in self.steps):
-            raise ArgumentError(f"path word must use only E and N: {self.steps!r}")
-        if self.steps.count("E") * 2 != len(self.steps):
-            raise ArgumentError(f"path word is not balanced: {self.steps!r}")
+    def __init__(self, steps: str) -> None:
+        if not isinstance(steps, str) or any(c not in "EN" for c in steps):
+            raise ArgumentError(f"path word must use only E and N: {steps!r}")
+        if steps.count("E") * 2 != len(steps):
+            raise ArgumentError(f"path word is not balanced: {steps!r}")
+        self.__dict__["steps"] = steps
 
     @property
     def n(self) -> int:
@@ -117,18 +115,17 @@ def path_points(p: PathWord) -> list[tuple[int, int]]:
     return pts
 
 
-@dataclass(frozen=True)
-class SkewBoxSet:
+class SkewBoxSet(Frozen):
     """Unit cells between two nested paths, as (column, row) pairs."""
 
-    n: int
-    boxes: frozenset[tuple[int, int]]
+    _fields = ("n", "boxes")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "boxes", frozenset(self.boxes))
-        for (c, r) in self.boxes:
-            if not (0 <= c < self.n and 0 <= r < self.n):
-                raise ArgumentError(f"cell {(c, r)!r} outside the {self.n} x {self.n} square")
+    def __init__(self, n: int, boxes: frozenset[tuple[int, int]]) -> None:
+        boxes = frozenset(boxes)
+        for (c, r) in boxes:
+            if not (0 <= c < n and 0 <= r < n):
+                raise ArgumentError(f"cell {(c, r)!r} outside the {n} x {n} square")
+        self.__dict__.update(n=n, boxes=boxes)
 
     def is_antidiagonally_symmetric(self) -> bool:
         """Invariance under (c, r) -> (n-1-r, n-1-c)."""

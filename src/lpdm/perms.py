@@ -14,9 +14,8 @@ number of descents) comes from one transfer-matrix table over suffixes,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, Frozen
 from .subsets import GaleChain, SubsetMask
 
 __all__ = [
@@ -31,17 +30,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A permutation of [n] in one-line notation."""
 
-    images: tuple[int, ...]
+    _fields = ("images",)
 
-    def __post_init__(self) -> None:
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
+    def __init__(self, images: tuple[int, ...]) -> None:
+        images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ArgumentError(f"{images!r} is not a permutation of [n]")
+        self.__dict__["images"] = images
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

@@ -16,10 +16,9 @@ denominators (``as_integers``); no float is ever used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, Frozen
 from .matroid import LpdmSpec, SetFamily, _box_spec, _minor
 from .subsets import _completions, is_valid_profile
 
@@ -36,25 +35,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HRep:
+class HRep(Frozen):
     """Half-space description: per-index lower/upper suffix-sum bounds."""
 
-    n: int
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
+    _fields = ("n", "lower", "upper")
 
-    def __post_init__(self) -> None:
-        lower = tuple(self.lower)
-        upper = tuple(self.upper)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        if len(lower) != self.n or len(upper) != self.n:
+    def __init__(self, n: int, lower: tuple[int, ...], upper: tuple[int, ...]) -> None:
+        lower, upper = tuple(lower), tuple(upper)
+        if len(lower) != n or len(upper) != n:
             raise ArgumentError("bounds must have one entry per coordinate")
         if not (is_valid_profile(lower) and is_valid_profile(upper)):
             raise ArgumentError("bounds must be suffix-count profiles")
         if any(a > b for a, b in zip(lower, upper)):
             raise ArgumentError("lower bounds exceed upper bounds")
+        self.__dict__.update(n=n, lower=lower, upper=upper)
 
 
 def hrep(m: LpdmSpec) -> HRep:
@@ -121,8 +115,7 @@ def vertex_set(m: LpdmSpec) -> list[tuple[int, ...]]:
     return _completions(m.lower_mask().profile, m.upper_mask().profile, [(1,)] * m.n, [(0,)] * m.n)
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(Frozen):
     """A defining inequality of the polytope, pinned to equality.
 
     kind "coordinate": x_index = level (level 0 or 1).
@@ -130,23 +123,21 @@ class Facet:
     bound at ``index`` (level "lower" or "upper").
     """
 
-    kind: str
-    index: int
-    level: object
+    _fields = ("kind", "index", "level")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("coordinate", "suffix"):
-            raise ArgumentError(f"unknown facet kind {self.kind!r}")
-        if not isinstance(self.index, int) or self.index < 1:
-            raise ArgumentError(f"facet index must be a positive integer, got {self.index!r}")
-        if self.kind == "coordinate" and self.level not in (0, 1):
-            raise ArgumentError(f"coordinate facet level must be 0 or 1, got {self.level!r}")
-        if self.kind == "suffix" and self.level not in ("lower", "upper"):
-            raise ArgumentError(f"suffix facet level must be 'lower' or 'upper', got {self.level!r}")
+    def __init__(self, kind: str, index: int, level: object) -> None:
+        if kind not in ("coordinate", "suffix"):
+            raise ArgumentError(f"unknown facet kind {kind!r}")
+        if not isinstance(index, int) or index < 1:
+            raise ArgumentError(f"facet index must be a positive integer, got {index!r}")
+        if kind == "coordinate" and level not in (0, 1):
+            raise ArgumentError(f"coordinate facet level must be 0 or 1, got {level!r}")
+        if kind == "suffix" and level not in ("lower", "upper"):
+            raise ArgumentError(f"suffix facet level must be 'lower' or 'upper', got {level!r}")
+        self.__dict__.update(kind=kind, index=index, level=level)
 
 
-@dataclass(frozen=True)
-class FaceResult:
+class FaceResult(Frozen):
     """A face of the polytope, with a direct-sum certificate.
 
     ``family`` collects the feasible sets whose vertices lie on the
@@ -156,9 +147,10 @@ class FaceResult:
     face it is None.
     """
 
-    family: SetFamily
-    factors: tuple[LpdmSpec, ...] | None
-    kind: str
+    _fields = ("family", "factors", "kind")
+
+    def __init__(self, family: SetFamily, factors: tuple[LpdmSpec, ...] | None, kind: str) -> None:
+        self.__dict__.update(family=family, factors=factors, kind=kind)
 
 
 def face(m: LpdmSpec, facet: Facet) -> FaceResult:

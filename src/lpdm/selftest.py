@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from time import perf_counter
 
-from .errors import ArgumentError, DomainError, OrderError
+from .errors import ArgumentError, DomainError, Frozen, OrderError
 from .matroid import (
     LpdmSpec,
     SetFamily,
@@ -1099,12 +1098,11 @@ ACCEPTANCE: tuple[tuple[int, str, int, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CheckResult(Frozen):
+    _fields = ("name", "passed", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float) -> None:
+        self.__dict__.update(name=name, passed=passed, detail=detail, seconds=seconds)
 
 
 def run_selftest(max_n: int = 5, names=None) -> list[CheckResult]:

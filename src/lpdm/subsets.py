@@ -25,10 +25,9 @@ taken componentwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ArgumentError, DomainError, OrderError
+from .errors import ArgumentError, DomainError, Frozen, OrderError
 
 __all__ = [
     "SubsetMask",
@@ -46,21 +45,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubsetMask:
+class SubsetMask(Frozen):
     """A subset of the ground set {1, ..., n}."""
 
-    n: int
-    members: frozenset[int] = field(default_factory=frozenset)
+    _fields = ("n", "members")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ArgumentError(f"ground size must be a non-negative integer, got {self.n!r}")
-        members = frozenset(self.members)
-        object.__setattr__(self, "members", members)
+    def __init__(self, n: int, members: frozenset[int] = frozenset()) -> None:
+        if not isinstance(n, int) or n < 0:
+            raise ArgumentError(f"ground size must be a non-negative integer, got {n!r}")
+        members = frozenset(members)
         for x in members:
-            if not isinstance(x, int) or not 1 <= x <= self.n:
-                raise ArgumentError(f"member {x!r} outside ground set [1, {self.n}]")
+            if not isinstance(x, int) or not 1 <= x <= n:
+                raise ArgumentError(f"member {x!r} outside ground set [1, {n}]")
+        self.__dict__.update(n=n, members=members)
 
     @classmethod
     def of(cls, n: int, members=()) -> "SubsetMask":
@@ -93,6 +90,15 @@ class SubsetMask:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    # masks are set members on the enumeration hot paths: compare the fields directly
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.members) == (other.n, other.members)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.members))
 
     def __repr__(self) -> str:
         inner = ",".join(str(x) for x in self.as_tuple())
@@ -254,15 +260,14 @@ def count_maximal_chains(lower: SubsetMask, upper: SubsetMask) -> int:
     return ways[upper.members]
 
 
-@dataclass(frozen=True)
-class GaleChain:
+class GaleChain(Frozen):
     """A saturated chain: consecutive steps are covers (rank goes up by 1)."""
 
-    steps: tuple[SubsetMask, ...]
+    _fields = ("steps",)
 
-    def __post_init__(self) -> None:
-        steps = tuple(self.steps)
-        object.__setattr__(self, "steps", steps)
+    def __init__(self, steps: tuple[SubsetMask, ...]) -> None:
+        steps = tuple(steps)
+        self.__dict__["steps"] = steps
         if not steps:
             raise ArgumentError("a chain needs at least one subset")
         n = steps[0].n

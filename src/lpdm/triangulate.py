@@ -23,10 +23,9 @@ counted in O(n^3) (``volume``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, Frozen
 from .matroid import LpdmSpec
 from .perms import Permutation, count_perms_in_descent_box, perms_with_descent_set
 from .polytope import is_linked
@@ -63,22 +62,20 @@ def fractional_prefix_sums(point) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LatticeSimplex:
+class LatticeSimplex(Frozen):
     """n+1 integer vertices in R^n, tagged with the permutation that
     produced them (when any)."""
 
-    vertices: tuple[tuple[int, ...], ...]
-    perm: Permutation | None = None
+    _fields = ("vertices", "perm")
 
-    def __post_init__(self) -> None:
-        verts = tuple(tuple(int(c) for c in v) for v in self.vertices)
-        object.__setattr__(self, "vertices", verts)
+    def __init__(self, vertices: tuple[tuple[int, ...], ...], perm: Permutation | None = None) -> None:
+        verts = tuple(tuple(int(c) for c in v) for v in vertices)
         if not verts:
             raise ArgumentError("a simplex needs vertices")
         n = len(verts[0])
         if any(len(v) != n for v in verts) or len(verts) != n + 1:
             raise ArgumentError("need exactly n+1 vertices of equal dimension n")
+        self.__dict__.update(vertices=verts, perm=perm)
 
     @property
     def n(self) -> int:
@@ -155,12 +152,13 @@ def triangulate_toric(m: LpdmSpec) -> list[LatticeSimplex]:
     return out
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(Frozen):
     """A linked interval polytope written as a union of toric cells."""
 
-    parent: LpdmSpec
-    cells: tuple[LpdmSpec, ...]
+    _fields = ("parent", "cells")
+
+    def __init__(self, parent: LpdmSpec, cells: tuple[LpdmSpec, ...]) -> None:
+        self.__dict__.update(parent=parent, cells=cells)
 
 
 def subdivide(m: LpdmSpec) -> Subdivision:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -239,12 +240,57 @@ def test_render_into_missing_directory_is_io_error(tmp_path, capsys):
 def test_cli_import_leaves_selftest_unloaded():
     src = str(Path(lpdm.__file__).resolve().parents[1])
     probe = (
-        f"import sys; sys.path.insert(0, {src!r}); import lpdm.cli; "
-        "print(sorted({'lpdm.selftest', 'concurrent.futures'} & set(sys.modules)))"
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); import lpdm.cli; "
+        "print(sorted({'lpdm.selftest', 'concurrent.futures', 'dataclasses'} & (set(sys.modules) - before))); "
+        "print(sorted(m for m in sys.modules if m.startswith('lpdm')))"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "['lpdm', 'lpdm.cli', 'lpdm.errors']"]
+
+
+def _imported(argv, src):
+    """Modules a new interpreter imports while it runs ``argv``, from
+    ``-X importtime``; the exit code; stdout."""
+    env = {**os.environ, "PYTHONPATH": src}
+    cmd = [sys.executable, "-X", "importtime", *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return names, proc.returncode, proc.stdout
+
+
+# one call per group and the lpdm modules it loads, besides the root
+_SPEC = '{"n":5,"S":[1],"T":[3,5]}'
+_LOADS = {
+    "order": (["order", "interval", _SPEC], "errors jsonio subsets"),
+    "path": (["path", "encode", '{"n":6,"S":[1,4,6]}'], "errors jsonio paths subsets"),
+    "matroid": (["matroid", "dual", _SPEC], "errors jsonio matroid subsets"),
+    "polytope": (
+        ["polytope", "contains", '{"n":5,"S":[1],"T":[3,5],"x":["1/2","0","1/3","0","1"]}'],
+        "errors jsonio matroid polytope subsets",
+    ),
+    "tri": (["tri", "volume", '{"n":6,"S":[],"T":[5,6]}'], "errors jsonio matroid perms polytope subsets triangulate"),
+    "oracle": (["oracle", "volume", '{"n":6,"S":[],"T":[5,6]}'], "errors jsonio matroid oracle polytope subsets"),
+    "catalan": (["catalan", "3"], "errors jsonio matroid subsets"),
+    "render": (["render", '{"n":3,"S":[1],"T":[2,3]}', "--svg"], "errors jsonio matroid paths subsets"),
+}
+
+
+@pytest.mark.parametrize("group", list(_LOADS))
+def test_a_call_loads_only_its_modules(group, tmp_path):
+    src = str(Path(lpdm.__file__).resolve().parents[1])
+    argv, modules = _LOADS[group]
+    if group == "render":
+        argv = [*argv, str(tmp_path / "out.svg")]
+    startup, _, _ = _imported(["-c", "pass"], src)
+    names, code, out = _imported(["-m", "lpdm.cli", *argv], src)
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    # lpdm.cli runs as __main__, so it is not imported under its own name
+    assert {m for m in names if m.split(".")[0] == "lpdm"} == {"lpdm"} | {f"lpdm.{m}" for m in modules.split()}
+    if "dataclasses" not in startup:
+        assert "dataclasses" not in names
+    if group in ("order", "path"):
+        assert "fractions" in startup or "fractions" not in names
 
 
 def test_selftest_smallest_cap(capsys):

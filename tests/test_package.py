@@ -1,3 +1,9 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import lpdm
 import lpdm.jsonio
 
@@ -28,3 +34,44 @@ def test_root_names_are_pinned():
     assert all(callable(getattr(lpdm, name)) for name in lpdm.__all__)
     assert not hasattr(lpdm, "count_suffix_box")
     assert not set(lpdm.jsonio.__all__) & set(lpdm.__all__)
+
+
+def _fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this lpdm; its stdout."""
+    src = str(Path(lpdm.__file__).resolve().parents[1])
+    probe = f"import sys; sys.path.insert(0, {src!r}); " + code
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_bare_import_loads_no_library_module():
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('lpdm')))"
+    assert _fresh("import lpdm; " + loaded) == "['lpdm']"
+    # an unknown dunder is an AttributeError that loads nothing
+    assert _fresh("import lpdm; assert not hasattr(lpdm, '__wrapped__'); " + loaded) == "['lpdm']"
+
+
+def test_star_import_and_dir_give_the_root_names():
+    star = "from lpdm import *; print(sorted(k for k in globals() if k[0] != '_' and k != 'sys'))"
+    assert _fresh(star) == str(sorted(ROOT_NAMES))
+    assert _fresh("import lpdm; print(dir(lpdm))") == str(sorted(ROOT_NAMES))
+    assert sorted(dir(lpdm)) == sorted(ROOT_NAMES)
+
+
+def test_hidden_and_unknown_names_raise():
+    with pytest.raises(AttributeError):
+        lpdm.count_suffix_box
+    with pytest.raises(AttributeError):
+        lpdm.no_such_name
+    with pytest.raises(AttributeError):
+        lpdm.__no_such_dunder__
+
+
+def test_root_names_are_the_module_objects():
+    import lpdm.oracle
+    import lpdm.subsets
+
+    assert lpdm.SubsetMask is lpdm.subsets.SubsetMask
+    assert lpdm.hull_membership is lpdm.oracle.hull_membership
+    assert lpdm.UsageError is lpdm.errors.UsageError
