@@ -35,6 +35,12 @@ A lattice path matroid is an ``LpdmSpec`` whose two bounds have one
 size, so the layers and the envelope are specs like any other: between
 sets of one size, the Gale order is the elementwise order of their
 sorted tuples.
+
+A ``SetFamily`` holds its members as int bitmasks over ground positions
+(bit i - 1 for position i), as ``subsets._completions`` builds them.
+Counting, membership, the exchange axiom, projection, the interval
+bounds and the JSON lists all work on the masks; the frozenset
+``members`` are decoded only when first read.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import ArgumentError, DomainError, Frozen, OrderError
-from .subsets import SubsetMask, _completions, gale_leq, interval_size
+from .subsets import SubsetMask, _completions, _decode, gale_leq, interval_size
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -154,58 +160,83 @@ class LpdmSpec(Frozen):
         return hash((self.ground, self.lower, self.upper))
 
 
+def _canonical(masks, n: int) -> tuple[int, ...]:
+    """Distinct bitmasks over n positions in canonical order: by size,
+    then by their sorted positions.  Of two sets of one size, the one
+    holding the least position where they differ comes first, so it has
+    the greater bit-reversed mask."""
+    return tuple(sorted(set(masks), key=lambda x: (x.bit_count(), -int(bin(x | 1 << n)[:2:-1] or "0", 2))))
+
+
 class SetFamily(Frozen):
     """A finite family of subsets of a labelled ground, kept in the
-    canonical order (by size, then by ground position)."""
+    canonical order (by size, then by ground position).
+
+    Each member is held as an int bitmask over ground positions (bit
+    i - 1 for position i).  Length, membership, equality between two
+    families, the exchange axiom and the JSON writer read the masks;
+    the frozenset ``members`` are decoded on first read and kept, and
+    ``hash`` and ``repr`` go through them.
+    """
 
     _fields = ("ground", "members")
 
     def __init__(self, ground: tuple[int, ...], members: tuple[frozenset[int], ...]) -> None:
         ground = tuple(ground)
         _check_ground(ground)
-        index = {g: i for i, g in enumerate(ground, start=1)}
-        seen = set()
-        normal = []
+        bit = {g: 1 << i for i, g in enumerate(ground)}
+        masks = []
         for m in members:
             fs = frozenset(m)
-            if not fs <= set(ground):
+            if not fs <= bit.keys():
                 raise ArgumentError(f"member {sorted(fs)!r} is not within the ground {ground!r}")
-            if fs not in seen:
-                seen.add(fs)
-                normal.append(fs)
-        normal.sort(key=lambda fs: (len(fs), tuple(sorted(index[x] for x in fs))))
-        self.__dict__.update(ground=ground, members=tuple(normal))
+            masks.append(sum(bit[x] for x in fs))
+        self.__dict__.update(ground=ground, _masks=_canonical(masks, len(ground)))
 
     @classmethod
-    def _canonical(cls, ground: tuple[int, ...], members: tuple[frozenset[int], ...]) -> "SetFamily":
-        """A family built inside the package from distinct label sets of a
+    def _from_masks(cls, ground: tuple[int, ...], masks: tuple[int, ...]) -> "SetFamily":
+        """A family built inside the package from distinct bitmasks over a
         checked ground, already in canonical order: nothing is checked or
         sorted."""
         fam = object.__new__(cls)
-        fam.__dict__.update(ground=ground, members=members)
+        fam.__dict__.update(ground=ground, _masks=masks)
         return fam
 
+    @cached_property
+    def members(self) -> tuple[frozenset[int], ...]:
+        return tuple(_decode(self._masks, self.ground, frozenset))
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._masks)
 
     @cached_property
-    def _member_set(self) -> frozenset[frozenset[int]]:
-        return frozenset(self.members)
+    def _mask_set(self) -> frozenset[int]:
+        return frozenset(self._masks)
+
+    @cached_property
+    def _bit(self) -> dict[int, int]:
+        return {g: 1 << i for i, g in enumerate(self.ground)}
 
     def __contains__(self, fs) -> bool:
-        return frozenset(fs) in self._member_set
+        bit, fs = self._bit, frozenset(fs)
+        return fs <= bit.keys() and sum(bit[x] for x in fs) in self._mask_set
+
+    # two families over one ground are equal when their masks are
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ground, self._masks) == (other.ground, other._masks)
+        return NotImplemented
+
+    __hash__ = Frozen.__hash__
 
     def sorted_member_lists(self) -> list[list[int]]:
-        index = {g: i for i, g in enumerate(self.ground, start=1)}
-        return [sorted(m, key=lambda x: index[x]) for m in self.members]
+        return list(map(list, _decode(self._masks, self.ground, tuple)))
 
 
 def feasible_sets(m: LpdmSpec) -> SetFamily:
-    """Enumerate the Gale interval [lower, upper] as label sets, built
-    in canonical order from the labels themselves."""
-    take = [(g,) for g in m.ground]
-    rows = _completions(m.lower_mask().profile, m.upper_mask().profile, take, [()] * m.n)
-    return SetFamily._canonical(m.ground, tuple(map(frozenset, rows)))
+    """Enumerate the Gale interval [lower, upper] as bitmasks over the
+    ground, in canonical order."""
+    return SetFamily._from_masks(m.ground, _completions(m.lower_mask().profile, m.upper_mask().profile))
 
 
 def exchange_witness(family: SetFamily):
@@ -223,14 +254,13 @@ def exchange_witness(family: SetFamily):
     first (A2, e) in the canonical order of members and the iteration
     order of A1 xor A2.
     """
-    if not family.members:
+    masks = family._masks
+    if not masks:
         raise DomainError("the empty family has no feasible sets to exchange")
-    bit = {g: 1 << i for i, g in enumerate(family.ground)}
-    masks = [sum(bit[x] for x in a) for a in family.members]
-    feasible = set(masks)
-    bits = list(bit.values())
+    feasible = family._mask_set
+    bits = [1 << i for i in range(len(family.ground))]
     projections: dict[int, set[int]] = {}
-    for a1, x in zip(family.members, masks):
+    for j, x in enumerate(masks):
         for b in bits:
             y = x ^ b
             if y in feasible:
@@ -239,14 +269,14 @@ def exchange_witness(family: SetFamily):
             if k not in projections:
                 projections[k] = {m & k for m in masks}
             if (x & k) ^ b in projections[k]:
-                return _first_failure(family, a1)
+                return _first_failure(family, family.members[j])
     return None
 
 
 def _first_failure(family: SetFamily, a1: frozenset[int]):
     """The first (A1, A2, e) that breaks the exchange axiom for a given
     A1, by scanning every A2 and every e, f in their difference."""
-    members = family._member_set
+    members = set(family.members)
     for a2 in family.members:
         diff = a1 ^ a2
         for e in diff:
@@ -429,8 +459,12 @@ def project_element(family: SetFamily, label: int) -> SetFamily:
     """Drop ``label`` from every member (and from the ground)."""
     if label not in family.ground:
         raise ArgumentError(f"label {label!r} is not in the ground {family.ground!r}")
-    new_ground = tuple(g for g in family.ground if g != label)
-    return SetFamily(new_ground, tuple(m - {label} for m in family.members))
+    p = family.ground.index(label)
+    below = (1 << p) - 1
+    # the bits above p move down one place
+    masks = [x & below | x >> 1 & ~below for x in family._masks]
+    new_ground = family.ground[:p] + family.ground[p + 1 :]
+    return SetFamily._from_masks(new_ground, _canonical(masks, len(new_ground)))
 
 
 def family_interval_bounds(family: SetFamily):
@@ -438,14 +472,14 @@ def family_interval_bounds(family: SetFamily):
     interval that holds the family, and whether the family equals it.
     Families that are not intervals (projections, for instance) report
     False."""
-    if not family.members:
+    if not family._masks:
         raise DomainError("empty family")
     n = len(family.ground)
-    index = {g: i for i, g in enumerate(family.ground, start=1)}
-    profs = [SubsetMask(n, frozenset(index[x] for x in m)).profile for m in family.members]
+    # suffix count i of a mask: its members from position i + 1 on
+    profs = [[(x >> i).bit_count() for i in range(n)] for x in family._masks]
     spec = _box_spec(family.ground, tuple(map(min, zip(*profs))), tuple(map(max, zip(*profs))))
     # the interval holds every (distinct) member, so equal sizes mean equal families
-    is_interval = interval_size(spec.lower_mask(), spec.upper_mask()) == len(family.members)
+    is_interval = interval_size(spec.lower_mask(), spec.upper_mask()) == len(family)
     return (spec.lower, spec.upper, is_interval)
 
 

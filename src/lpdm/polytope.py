@@ -16,11 +16,10 @@ denominators (``as_integers``); no float is ever used.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ArgumentError, DomainError, Frozen
 from .matroid import LpdmSpec, SetFamily, _box_spec, _minor
-from .subsets import _completions, is_valid_profile
+from .subsets import _completions, _decode, is_valid_profile
 
 __all__ = [
     "Facet",
@@ -71,7 +70,9 @@ def as_integers(points) -> tuple[int, list[tuple[int, ...]]]:
         p = tuple(p)
         exact = set(map(type, p)) <= _INT
         if not exact:
-            p = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in p)
+            import fractions  # here, not at the top: integer-only commands never load it
+
+            p = tuple(c if isinstance(c, (int, fractions.Fraction)) else fractions.Fraction(c) for c in p)
             scale = math.lcm(scale, *(c.denominator for c in p))
         rows.append((exact, p))
     return scale, [
@@ -112,7 +113,8 @@ def is_linked(m: LpdmSpec) -> bool:
 
 def vertex_set(m: LpdmSpec) -> list[tuple[int, ...]]:
     """Indicator vectors of the feasible sets, in canonical order."""
-    return _completions(m.lower_mask().profile, m.upper_mask().profile, [(1,)] * m.n, [(0,)] * m.n)
+    masks = _completions(m.lower_mask().profile, m.upper_mask().profile)
+    return _decode(masks, (1,) * m.n, tuple, 0)
 
 
 class Facet(Frozen):
@@ -166,24 +168,20 @@ def face(m: LpdmSpec, facet: Facet) -> FaceResult:
         raise DomainError("the point polytope on the empty ground has no facet")
     if not 1 <= facet.index <= m.n:
         raise ArgumentError(f"facet index {facet.index} outside [1, {m.n}]")
-    n = m.n
     i = facet.index
     a, b = list(m.lower_mask().profile), list(m.upper_mask().profile)
-    take, skip = [(g,) for g in m.ground], [()] * n
+    fix = None
     if facet.kind == "coordinate":
-        if facet.level:
-            skip[i - 1] = None
-        else:
-            take[i - 1] = None
+        fix = (i, facet.level)
         kind = f"coordinate-{facet.level}"
     else:
         target = (a if facet.level == "lower" else b)[i - 1]
         a[i - 1] = b[i - 1] = target
         kind = f"suffix-{facet.level}"
 
-    rows = _completions(a, b, take, skip)
-    family = SetFamily._canonical(m.ground, tuple(map(frozenset, rows)))
-    if not rows:
+    masks = _completions(a, b, fix)
+    family = SetFamily._from_masks(m.ground, masks)
+    if not masks:
         return FaceResult(family, None, kind)
 
     label = m.ground[i - 1]

@@ -25,7 +25,7 @@ taken componentwise.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import ArgumentError, DomainError, Frozen, OrderError
 
@@ -166,51 +166,100 @@ def _require_interval(lower: SubsetMask, upper: SubsetMask) -> None:
         raise OrderError(f"{lower!r} is not below {upper!r} in the Gale order")
 
 
-def _completions(a, b, take, skip) -> list[tuple]:
+def _completions(a, b, fix=None) -> tuple[int, ...]:
     """Every position set of [n] whose suffix counts lie in the box
-    a <= . <= b, spelled as a tuple, in canonical order (by size, then
-    lexicographically).
+    a <= . <= b, as an int bitmask (bit i - 1 for position i), in
+    canonical order (by size, then lexicographically).
 
-    Position i adds ``take[i - 1]`` to the tuple when it is in the set
-    and ``skip[i - 1]`` when it is not; None bars that choice.  A first
-    pass from position 1 up narrows the box to the suffix counts that a
-    choice on the positions before i can reach.  Then, from position n
-    down, ``row[c]`` lists the completions inside {i, ..., n} with c
-    members, those holding i first, so each row is in lexicographic
-    order and the sizes come out ascending.  Every completion built is
-    part of a member: setup is O(n^2), and each member costs O(n).
+    ``fix = (i, level)`` keeps position i in every set (level 1) or out
+    of every set (level 0).  A first pass from position 1 up narrows the
+    box to the suffix counts that a choice on the positions before i can
+    reach.  Then, from position n down, ``row[c]`` lists the completions
+    inside {i, ..., n} with c members, those holding i first, so each
+    row is in lexicographic order and the sizes come out ascending.
+    Every completion built is part of a member: setup is O(n^2), and
+    each member costs O(n) integer additions.
     """
     n = len(a)
+    p, level = fix or (0, None)
     reach = []
     lo, hi = 0, n
-    for i in range(n):
-        lo, hi = max(lo, a[i]), min(hi, b[i])
+    for i in range(1, n + 1):
+        lo, hi = max(lo, a[i - 1]), min(hi, b[i - 1])
         reach.append((lo, hi))
-        # the count passed on to position i + 2 is one less where i + 1 is taken
-        lo -= take[i] is not None
-        hi -= skip[i] is None
-    row = {0: [()]}
+        # the count passed on to position i + 1 is one less where i is taken
+        lo -= i != p or level == 1
+        hi -= i == p and level == 1
+    row = {0: [0]}
     for i in range(n, 0, -1):
-        x, y = take[i - 1], skip[i - 1]
+        bit = 1 << (i - 1)
+        take, skip = (level != 0, level != 1) if i == p else (True, True)
         lo, hi = reach[i - 1]
         nxt = {}
         for c in range(lo, hi + 1):
-            out = [x + t for t in row.get(c - 1, ())] if x is not None else []
-            if y is not None and c in row:
-                out += [y + t for t in row[c]] if y else row[c]
+            out = [bit + t for t in row.get(c - 1, ())] if take else []
+            if skip and c in row:
+                out += row[c]
             if out:
                 nxt[c] = out
         row = nxt
-    return [t for ts in row.values() for t in ts]
+    return tuple(itertools.chain.from_iterable(row.values()))
+
+
+@lru_cache(maxsize=8)
+def _half_tables(labels: tuple[int, ...], kind, zero) -> tuple[tuple, tuple]:
+    """For the low and the high half of the bits of a mask over
+    ``labels`` (bit i for labels[i]), the spelling of every value the
+    half can take, as a ``kind``: a set bit i spells labels[i], and a
+    clear one spells ``zero``, or nothing when ``zero`` is None."""
+    w = (len(labels) + 1) // 2
+    skip = () if zero is None else (zero,)
+    halves = []
+    for part in (labels[:w], labels[w:]):
+        table = [()]
+        for label in part:
+            table = [t + skip for t in table] + [t + (label,) for t in table]
+        halves.append(tuple(map(kind, table)))
+    return tuple(halves)
+
+
+def _spell(x: int, labels: tuple[int, ...], zero) -> list[int]:
+    if zero is not None:
+        return [labels[i] if x >> i & 1 else zero for i in range(len(labels))]
+    out = []
+    while x:
+        low = x & -x
+        out.append(labels[low.bit_length() - 1])
+        x ^= low
+    return out
+
+
+def _decode(masks, labels: tuple[int, ...], kind, zero=None) -> list:
+    """Each bitmask over ``labels`` spelled as in ``_half_tables``, as a
+    tuple (in position order) or a frozenset.
+
+    On a ground of up to 24 labels, with at least as many masks as one
+    half table has entries, each half of a mask is read from a table and
+    the two are joined: frozensets with ``|``, which copies their hash
+    tables and rehashes nothing.  Otherwise each mask is spelled bit by
+    bit, so a small family or a long ground builds no table."""
+    w = (len(labels) + 1) // 2
+    if len(labels) > 24 or 1 << w > len(masks):
+        return [kind(_spell(x, labels, zero)) for x in masks]
+    low, high = _half_tables(labels, kind, zero)
+    below = (1 << w) - 1
+    if kind is frozenset:
+        return [low[x & below] | high[x >> w] for x in masks]
+    return [low[x & below] + high[x >> w] for x in masks]
 
 
 def interval(lower: SubsetMask, upper: SubsetMask) -> list[SubsetMask]:
     """All subsets A with lower <= A <= upper, in canonical order."""
     _require_interval(lower, upper)
     n = lower.n
-    rows = _completions(lower.profile, upper.profile, [(i,) for i in range(1, n + 1)], [()] * n)
+    rows = _decode(_completions(lower.profile, upper.profile), tuple(range(1, n + 1)), frozenset)
     mask = SubsetMask._trusted
-    return [mask(n, frozenset(t)) for t in rows]
+    return [mask(n, ms) for ms in rows]
 
 
 def interval_size(lower: SubsetMask, upper: SubsetMask) -> int:

@@ -259,7 +259,8 @@ def _imported(argv, src):
     return names, proc.returncode, proc.stdout
 
 
-# one call per group and the lpdm modules it loads, besides the root
+# one call per group (polytope twice: with and without a rational input) and the
+# lpdm modules it loads, besides the root
 _SPEC = '{"n":5,"S":[1],"T":[3,5]}'
 _LOADS = {
     "order": (["order", "interval", _SPEC], "errors jsonio subsets"),
@@ -269,6 +270,7 @@ _LOADS = {
         ["polytope", "contains", '{"n":5,"S":[1],"T":[3,5],"x":["1/2","0","1/3","0","1"]}'],
         "errors jsonio matroid polytope subsets",
     ),
+    "polytope-hrep": (["polytope", "hrep", _SPEC], "errors jsonio matroid polytope subsets"),
     "tri": (["tri", "volume", '{"n":6,"S":[],"T":[5,6]}'], "errors jsonio matroid perms polytope subsets triangulate"),
     "oracle": (["oracle", "volume", '{"n":6,"S":[],"T":[5,6]}'], "errors jsonio matroid oracle polytope subsets"),
     "catalan": (["catalan", "3"], "errors jsonio matroid subsets"),
@@ -289,7 +291,8 @@ def test_a_call_loads_only_its_modules(group, tmp_path):
     assert {m for m in names if m.split(".")[0] == "lpdm"} == {"lpdm"} | {f"lpdm.{m}" for m in modules.split()}
     if "dataclasses" not in startup:
         assert "dataclasses" not in names
-    if group in ("order", "path"):
+    # commands that read and write no rational leave ``fractions`` unloaded
+    if group in ("order", "path", "polytope-hrep"):
         assert "fractions" in startup or "fractions" not in names
 
 

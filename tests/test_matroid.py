@@ -7,6 +7,7 @@ import pytest
 from lpdm import (
     ArgumentError,
     DomainError,
+    Facet,
     LpdmSpec,
     OrderError,
     SetFamily,
@@ -22,16 +23,19 @@ from lpdm import (
     envelope_ground,
     envelope_project,
     exchange_witness,
+    face,
     family_interval_bounds,
     feasible_sets,
     gale_leq,
     homogeneous_component,
     intersect,
+    interval_size,
     project_element,
     relabel,
     signed_label_set,
     verify_exchange,
 )
+from lpdm.jsonio import family_json
 from lpdm.matroid import _box_spec
 
 
@@ -427,3 +431,145 @@ def test_feasible_sets_equal_the_validating_constructor(specs_n5_two_grounds):
         assert {frozenset(positions[x] for x in a) for a in fam.members} == {
             s.members for s in all_subsets(m.n) if gale_leq(m.lower_mask(), s) and gale_leq(s, m.upper_mask())
         }
+
+
+def _profile(n, positions):
+    return tuple(sum(1 for p in positions if p >= i) for i in range(1, n + 1))
+
+
+def canonical_reference(m):
+    """The feasible label sets of ``m`` from its ground and bounds alone:
+    the position sets whose suffix counts lie between the bounds', found
+    by choosing membership from position n down, sorted by size and then
+    by positions."""
+    n = m.n
+    pos = {g: i for i, g in enumerate(m.ground, start=1)}
+    a, b = (_profile(n, {pos[x] for x in side}) for side in (m.lower, m.upper))
+    found, stack = [], [(n, ())]
+    while stack:
+        i, chosen = stack.pop()
+        if i == 0:
+            found.append(chosen)
+            continue
+        for taken in (chosen, (i,) + chosen):
+            if a[i - 1] <= len(taken) <= b[i - 1]:
+                stack.append((i - 1, taken))
+    found.sort(key=lambda ps: (len(ps), ps))
+    return tuple(frozenset(m.ground[p - 1] for p in ps) for ps in found)
+
+
+def seeded_specs(ground, count, seed, flips=None, most=None):
+    """Specs on ``ground`` bounded by the componentwise min and max of
+    the profiles of two random position sets: independent ones, or the
+    second the first with ``flips`` positions toggled.  With ``most``,
+    specs with more feasible sets than that are drawn again."""
+    rng = random.Random(seed)
+    n = len(ground)
+    made = 0
+    while made < count:
+        first = {p for p in range(1, n + 1) if rng.random() < 0.5}
+        if flips is None:
+            second = {p for p in range(1, n + 1) if rng.random() < 0.5}
+        else:
+            second = first ^ set(rng.sample(range(1, n + 1), flips))
+        profs = [_profile(n, first), _profile(n, second)]
+        sides = [tuple(map(f, *profs)) + (0,) for f in (min, max)]
+        lower, upper = (frozenset(ground[i] for i in range(n) if p[i] > p[i + 1]) for p in sides)
+        m = LpdmSpec(ground, lower, upper)
+        if most is None or interval_size(m.lower_mask(), m.upper_mask()) <= most:
+            made += 1
+            yield m
+
+
+# grounds whose canonical (positional) order is not the order of the labels
+NON_STANDARD_GROUNDS = {
+    "descending": [tuple(range(n, 0, -1)) for n in range(11)],
+    "sparse": [tuple(random.Random(f"sparse:{n}").sample(range(-50, 1000), n)) for n in range(11)],
+    "signed": [envelope_ground(k) for k in range(6)],
+}
+
+
+@pytest.mark.parametrize("kind", list(NON_STANDARD_GROUNDS))
+def test_mask_fold_matches_the_reference_on_other_grounds(kind):
+    for ground in NON_STANDARD_GROUNDS[kind]:
+        for m in seeded_specs(ground, 12, f"{kind}:{ground}"):
+            want = canonical_reference(m)
+            fam = feasible_sets(m)
+            assert len(fam) == len(want) and fam.members == want, m
+            order = {g: i for i, g in enumerate(m.ground)}
+            assert fam.sorted_member_lists() == [sorted(a, key=order.__getitem__) for a in want]
+            assert all(a in fam for a in want)
+
+
+def test_mask_fold_matches_the_reference_on_long_grounds():
+    # members over more than 24 labels are spelled bit by bit, not from tables
+    for n in (25, 31, 40, 49):
+        ground = tuple(random.Random(f"wide:{n}").sample(range(-500, 500), n))
+        for m in seeded_specs(ground, 4, f"wide:{n}", flips=4, most=3000):
+            fam = feasible_sets(m)
+            assert fam.members == canonical_reference(m), m
+            order = {g: i for i, g in enumerate(ground)}
+            assert fam.sorted_member_lists() == [sorted(a, key=order.__getitem__) for a in fam.members]
+
+
+def test_envelope_bases_match_the_reference():
+    for n in range(5):
+        for s in all_subsets(n):
+            for t in all_subsets(n):
+                if gale_leq(s, t):
+                    m = LpdmSpec(envelope_ground(n), signed_label_set(s), signed_label_set(t))
+                    assert envelope_bases(LpdmSpec.of(n, s.members, t.members)).members == canonical_reference(m)
+
+
+def test_public_family_equals_the_mask_built_one():
+    checked = 0
+    for grounds in NON_STANDARD_GROUNDS.values():
+        for ground in grounds:
+            for m in seeded_specs(ground, 3, f"public:{ground}"):
+                built = feasible_sets(m)
+                members = list(canonical_reference(m))
+                random.Random(repr(m)).shuffle(members)
+                public = SetFamily(m.ground, members + [set(a) for a in members[:3]])
+                assert public == built and built == public, m
+                assert hash(public) == hash(built) and repr(public) == repr(built)
+                checked += 1
+    assert checked == 3 * sum(map(len, NON_STANDARD_GROUNDS.values()))
+    assert SetFamily((2, 1), ({1},)) != SetFamily((1, 2), ({1},))
+    for ground, member in (((3, 1, 2), {1, 4}), (envelope_ground(2), {-3}), ((), {0})):
+        with pytest.raises(ArgumentError):
+            SetFamily(ground, (frozenset(), member))
+
+
+def test_reading_the_masks_leaves_members_undecoded():
+    m = LpdmSpec((5, -2, 9, 1, -7, 30), frozenset({-2}), frozenset({5, 1, 30}))
+    fam = feasible_sets(m)
+    first = canonical_reference(m)[0]
+    assert len(fam) == len(canonical_reference(m))
+    assert first in fam and tuple(first) in fam and {-2, 4} not in fam and {5, -2, 9, 1, -7, 30} not in fam
+    assert exchange_witness(fam) is None
+    lists = fam.sorted_member_lists()
+    assert family_json(fam) == {"ground": list(m.ground), "members": lists}
+    proj = project_element(fam, 9)
+    lower, upper, _ = family_interval_bounds(proj)
+    assert lower | upper <= set(proj.ground)
+    facet = face(m, Facet("coordinate", 2, 1)).family
+    assert len(facet) and exchange_witness(facet) is None
+    for family in (fam, proj, facet):
+        assert "members" not in vars(family)
+    assert fam.members == tuple(map(frozenset, lists)) and vars(fam)["members"] is fam.members
+
+
+def test_projection_and_bounds_match_the_label_set_reference(specs_n5_two_grounds):
+    for m in specs_n5_two_grounds:
+        fam = feasible_sets(m)
+        for label in m.ground:
+            got = project_element(fam, label)
+            ground = tuple(g for g in m.ground if g != label)
+            want = SetFamily(ground, tuple(a - {label} for a in fam.members))
+            assert got == want and got.members == want.members, (m, label)
+            # the bounds from each member's profile, and the interval they span listed in full
+            pos = {g: i for i, g in enumerate(ground, start=1)}
+            profs = [_profile(len(ground), {pos[x] for x in a}) for a in want.members]
+            spec = _box_spec(ground, tuple(map(min, zip(*profs))), tuple(map(max, zip(*profs))))
+            span = set(feasible_sets(spec).members)
+            assert family_interval_bounds(got) == (spec.lower, spec.upper, span == set(want.members)), (m, label)

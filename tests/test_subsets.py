@@ -21,6 +21,7 @@ from lpdm import (
     sort_key,
 )
 from lpdm.oracle import count_suffix_box
+from lpdm.subsets import _decode
 from lpdm.selftest import gale_leq_definitional
 
 
@@ -228,3 +229,16 @@ def test_cover_successors_in_canonical_order():
     for n in range(8):
         for s in all_subsets(n):
             assert cover_successors(s) == cover_successors_reference(s)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 12, 17, 24, 25, 40])
+def test_decode_spells_every_mask_from_tables_or_bits(n):
+    # a family at least as large as a half table reads tables (up to 24 labels); a smaller one is spelled bit by bit
+    rng = random.Random(f"decode:{n}")
+    labels = tuple(rng.sample(range(-60, 60), n))
+    for count in (0, 1, 3, min(1 << (n + 1) // 2, 4096), 3000):
+        masks = [rng.getrandbits(n) for _ in range(count)]
+        spelled = [tuple(labels[i] for i in range(n) if x >> i & 1) for x in masks]
+        assert _decode(masks, labels, tuple) == spelled
+        assert _decode(masks, labels, frozenset) == list(map(frozenset, spelled))
+        assert _decode(masks, (1,) * n, tuple, 0) == [tuple(x >> i & 1 for i in range(n)) for x in masks]
