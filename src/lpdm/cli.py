@@ -9,6 +9,11 @@ identical inputs; timing and the selftest progress table go to stderr.
 Exit codes: 0 success, 1 domain error (or a failed selftest, or an
 output file that cannot be written: code "io"), 2 usage error
 (malformed JSON, bad flags).
+
+Each action is one row of ``_TABLE`` (its columns are described there):
+``build_parser`` builds every subcommand from the rows, and ``run`` sends
+every row through ``_call``.  Only ``selftest`` has a path of its own: it
+alone prints a table on stderr and exits 1 when a check fails.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ import functools
 import json
 import sys
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Sequence
 
-# each handler imports what it uses, so a call loads only what its command needs
+# a call imports the modules of its table row when it runs, so it loads only what it needs
 from .errors import Frozen, LpdmError, UsageError
 
 __all__ = ["CommandResult", "main", "run"]
@@ -36,329 +41,72 @@ class CommandResult(Frozen):
 def _load(ns: argparse.Namespace) -> dict:
     try:
         obj = json.loads(ns.json)
-    except json.JSONDecodeError as exc:
+    # malformed JSON, an integer past Python's digit limit (both ValueErrors),
+    # or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError("input must be a JSON object")
     return obj
 
 
-def _sub(obj: dict, key: str) -> dict:
-    val = obj.get(key)
-    if not isinstance(val, dict):
-        raise UsageError(f"'{key}' must be a JSON object")
-    return val
-
-
-def _word(obj: dict, key: str):
-    from .paths import PathWord
-    val = obj.get(key)
-    if not isinstance(val, str):
-        raise UsageError(f"'{key}' must be a step word string")
-    return PathWord(val)
-
-
-def _members(masks) -> list[list[int]]:
-    return [sorted(s.members) for s in masks]
-
-
-# ---------------------------------------------------------------- handlers
-
-
-def _order_leq(ns):
-    from .jsonio import parse_subset
-    from .subsets import gale_leq
-    obj = _load(ns)
-    return {"leq": gale_leq(parse_subset(obj, "S"), parse_subset(obj, "T"))}
-
-
-def _order_rank(ns):
-    from .jsonio import parse_subset
-    from .subsets import gale_rank
-    obj = _load(ns)
-    return {"rank": gale_rank(parse_subset(obj, "S"))}
-
-
-def _order_interval(ns):
-    from .jsonio import parse_subset
-    from .subsets import interval
-    obj = _load(ns)
-    members = interval(parse_subset(obj, "S"), parse_subset(obj, "T"))
-    return {"count": len(members), "members": _members(members)}
-
-
-def _order_chains(ns):
-    from .jsonio import parse_subset
-    from .subsets import count_maximal_chains
-    obj = _load(ns)
-    return {"count": count_maximal_chains(parse_subset(obj, "S"), parse_subset(obj, "T"))}
-
-
-def _order_covers(ns):
-    from .jsonio import parse_subset
-    from .subsets import cover_successors
-    obj = _load(ns)
-    succ = cover_successors(parse_subset(obj, "S"))
-    return {"count": len(succ), "successors": _members(succ)}
-
-
-def _path_encode(ns):
-    from .jsonio import parse_subset
-    from .paths import path_from_subset
-    obj = _load(ns)
-    return {"word": path_from_subset(parse_subset(obj, "S")).steps}
-
-
-def _path_decode(ns):
-    from .paths import subset_from_path
-    obj = _load(ns)
-    s = subset_from_path(_word(obj, "word"))
-    return {"S": sorted(s.members), "n": s.n}
-
-
-def _path_leq(ns):
-    from .paths import path_leq
-    obj = _load(ns)
-    return {"leq": path_leq(_word(obj, "P"), _word(obj, "Q"))}
-
-
-def _matroid_feasible(ns):
-    from .jsonio import family_json, parse_spec, spec_json
-    from .matroid import feasible_sets
-    m = parse_spec(_load(ns))
-    fam = feasible_sets(m)
-    out = family_json(fam)
-    out["count"] = len(fam)
-    out["spec"] = spec_json(m)
-    return out
-
-
-def _matroid_axiom(ns):
-    from .jsonio import parse_spec
-    from .matroid import exchange_witness, feasible_sets
-    m = parse_spec(_load(ns))
-    witness = exchange_witness(feasible_sets(m))
-    if witness is None:
-        return {"holds": True, "witness": None}
-    a1, a2, e = witness
-    return {"holds": False, "witness": {"first": sorted(a1), "second": sorted(a2), "element": e}}
-
-
-def _matroid_loops(ns):
-    from .jsonio import parse_spec
-    from .matroid import classify_elements
-    loops, coloops = classify_elements(parse_spec(_load(ns)))
-    return {"loops": sorted(loops), "coloops": sorted(coloops)}
-
-
-def _matroid_dual(ns):
-    from .jsonio import parse_spec, spec_json
-    from .matroid import dual
-    return {"spec": spec_json(dual(parse_spec(_load(ns))))}
-
-
-def _matroid_delete(ns):
-    from .jsonio import parse_int, parse_spec, spec_json
-    from .matroid import delete
-    obj = _load(ns)
-    return {"spec": spec_json(delete(parse_spec(obj), parse_int(obj, "element")))}
-
-
-def _matroid_contract(ns):
-    from .jsonio import parse_int, parse_spec, spec_json
-    from .matroid import contract
-    obj = _load(ns)
-    return {"spec": spec_json(contract(parse_spec(obj), parse_int(obj, "element")))}
-
-
-def _matroid_sum(ns):
-    from .jsonio import parse_spec, spec_json
-    from .matroid import direct_sum
-    obj = _load(ns)
-    m = direct_sum(parse_spec(_sub(obj, "first")), parse_spec(_sub(obj, "second")))
-    return {"spec": spec_json(m)}
-
-
-def _matroid_component(ns):
-    from .jsonio import layer_json, parse_int, parse_spec
-    from .matroid import homogeneous_component
-    obj = _load(ns)
-    comp = homogeneous_component(parse_spec(obj), parse_int(obj, "k"))
-    return {"k": obj["k"], "component": None if comp is None else layer_json(comp)}
-
-
-def _matroid_envelope(ns):
-    from .jsonio import family_json, parse_spec
-    from .matroid import envelope_bases
-    fam = envelope_bases(parse_spec(_load(ns)))
-    out = family_json(fam)
-    out["count"] = len(fam)
-    return out
-
-
-def _matroid_project(ns):
-    from .jsonio import family_json, parse_int, parse_spec
-    from .matroid import family_interval_bounds, feasible_sets, project_element
-    obj = _load(ns)
-    fam = project_element(feasible_sets(parse_spec(obj)), parse_int(obj, "element"))
-    lower, upper, is_int = family_interval_bounds(fam)
-    out = family_json(fam)
-    out["count"] = len(fam)
-    out["bounds"] = {"lower": sorted(lower), "upper": sorted(upper), "is_interval": is_int}
-    return out
-
-
-def _polytope_hrep(ns):
-    from .jsonio import hrep_json, parse_spec
-    from .polytope import hrep
-    return hrep_json(hrep(parse_spec(_load(ns))))
-
-
-def _polytope_dim(ns):
-    from .jsonio import parse_spec
-    from .polytope import dimension, is_linked
-    m = parse_spec(_load(ns))
-    return {"dimension": dimension(m), "linked": is_linked(m)}
-
-
-def _polytope_contains(ns):
-    from .jsonio import parse_point, parse_spec
-    from .polytope import contains, hrep
-    obj = _load(ns)
-    return {"contains": contains(hrep(parse_spec(obj)), parse_point(obj.get("x")))}
-
-
-def _polytope_intersect(ns):
-    from .jsonio import parse_spec, spec_json
-    from .matroid import intersect
-    obj = _load(ns)
-    m = intersect(parse_spec(_sub(obj, "first")), parse_spec(_sub(obj, "second")))
-    return {"spec": None if m is None else spec_json(m)}
-
-
-def _polytope_face(ns):
-    from .jsonio import facet_from_json, family_json, parse_spec, spec_json
-    from .polytope import face
-    obj = _load(ns)
-    res = face(parse_spec(obj), facet_from_json(_sub(obj, "facet")))
-    out = {"kind": res.kind, "family": family_json(res.family)}
-    out["factors"] = None if res.factors is None else [spec_json(f) for f in res.factors]
-    return out
-
-
-def _polytope_vertices(ns):
-    from .jsonio import parse_spec
-    from .polytope import vertex_set
-    verts = vertex_set(parse_spec(_load(ns)))
-    return {"count": len(verts), "vertices": [list(v) for v in verts]}
-
-
-def _tri_simplices(ns):
-    from .jsonio import parse_spec, simplex_json
-    from .triangulate import triangulate_toric
-    simps = triangulate_toric(parse_spec(_load(ns)))
-    return {"count": len(simps), "simplices": [simplex_json(x) for x in simps]}
-
-
-def _tri_label(ns):
-    from .perms import Permutation
-    from .triangulate import simplex_cell
-    obj = _load(ns)
-    images = obj.get("perm")
-    if not isinstance(images, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in images):
-        raise UsageError("'perm' must be a list of integers")
-    cell = simplex_cell(Permutation(tuple(images)))
-    return {"S": sorted(cell.members), "n": cell.n}
-
-
-def _tri_subdivide(ns):
-    from .jsonio import parse_spec, spec_json
-    from .triangulate import subdivide
-    cells = subdivide(parse_spec(_load(ns))).cells
-    return {"count": len(cells), "cells": [spec_json(c) for c in cells]}
-
-
-def _tri_volume(ns):
-    from .jsonio import frac_str, parse_spec
-    from .triangulate import volume
-    return frac_str(volume(parse_spec(_load(ns))))
-
-
-def _oracle_volume(ns):
-    from .jsonio import frac_str, parse_spec
-    from .oracle import ehrhart_volume
-    from .polytope import hrep
-    return frac_str(ehrhart_volume(hrep(parse_spec(_load(ns)))))
-
-
-def _oracle_count(ns):
-    from .jsonio import parse_spec
-    from .oracle import count_lattice_points
-    from .polytope import hrep
-    m = parse_spec(_load(ns))
-    return {"t": ns.t, "count": count_lattice_points(hrep(m), ns.t)}
-
-
-def _oracle_member(ns):
-    from .jsonio import parse_point, parse_spec
-    from .oracle import hull_membership
-    from .polytope import vertex_set
-    obj = _load(ns)
-    m = parse_spec(obj)
-    x = parse_point(obj.get("x"))
-    return {"member": hull_membership(vertex_set(m), x)}
-
-
-def _catalan(ns):
-    from .jsonio import spec_json
-    from .matroid import catalan_spec
-    from .subsets import interval_size
-    m = catalan_spec(ns.n)
-    return {"n": ns.n, "spec": spec_json(m), "count": interval_size(m.lower_mask(), m.upper_mask())}
-
-
-def _render(ns):
-    from .jsonio import parse_spec
-    from .paths import skew_svg
-    m = parse_spec(_load(ns))
-    svg = skew_svg(m.lower_mask(), m.upper_mask())
-    with open(ns.svg, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    return {"written": ns.svg, "bytes": len(svg.encode("utf-8"))}
-
-
-_HANDLERS: dict[tuple[str, str], Callable] = {
-    ("order", "leq"): _order_leq,
-    ("order", "rank"): _order_rank,
-    ("order", "interval"): _order_interval,
-    ("order", "chains"): _order_chains,
-    ("order", "covers"): _order_covers,
-    ("path", "encode"): _path_encode,
-    ("path", "decode"): _path_decode,
-    ("path", "leq"): _path_leq,
-    ("matroid", "feasible"): _matroid_feasible,
-    ("matroid", "axiom"): _matroid_axiom,
-    ("matroid", "loops"): _matroid_loops,
-    ("matroid", "dual"): _matroid_dual,
-    ("matroid", "delete"): _matroid_delete,
-    ("matroid", "contract"): _matroid_contract,
-    ("matroid", "sum"): _matroid_sum,
-    ("matroid", "component"): _matroid_component,
-    ("matroid", "envelope"): _matroid_envelope,
-    ("matroid", "project"): _matroid_project,
-    ("polytope", "hrep"): _polytope_hrep,
-    ("polytope", "dim"): _polytope_dim,
-    ("polytope", "contains"): _polytope_contains,
-    ("polytope", "intersect"): _polytope_intersect,
-    ("polytope", "face"): _polytope_face,
-    ("polytope", "vertices"): _polytope_vertices,
-    ("tri", "simplices"): _tri_simplices,
-    ("tri", "label"): _tri_label,
-    ("tri", "subdivide"): _tri_subdivide,
-    ("tri", "volume"): _tri_volume,
-    ("oracle", "volume"): _oracle_volume,
-    ("oracle", "count"): _oracle_count,
-    ("oracle", "member"): _oracle_member,
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
+
+
+_DOC = _arg("json", help="JSON input document")
+
+# One row per action: group, action (None for a top-level command), reader,
+# target, writer, then the row's argparse arguments (default: the document).
+#   reader  the target's arguments, one word each: a word that names a
+#           command-line argument reads it from argv, any other is read
+#           from the JSON document by ``_read``
+#   target  "module:function" in lpdm, imported and looked up when the call
+#           runs: a call loads only its own modules, and a function rebound
+#           on its module from outside is the one called
+#   writer  the payload shape, a name in ``_writers()`` (a name not there
+#           wraps the result under that key); None for render, whose
+#           payload reports the file that ``--svg`` names
+_TABLE = (
+    ("order", "leq", "S T", "subsets:gale_leq", "leq"),
+    ("order", "rank", "S", "subsets:gale_rank", "rank"),
+    ("order", "interval", "S T", "subsets:interval", "members"),
+    ("order", "chains", "S T", "subsets:count_maximal_chains", "count"),
+    ("order", "covers", "S", "subsets:cover_successors", "successors"),
+    ("path", "encode", "S", "paths:path_from_subset", "word"),
+    ("path", "decode", "word", "paths:subset_from_path", "subset"),
+    ("path", "leq", "P Q", "paths:path_leq", "leq"),
+    ("matroid", "feasible", "spec", "matroid:feasible_sets", "feasible"),
+    ("matroid", "axiom", "family", "matroid:exchange_witness", "witness"),
+    ("matroid", "loops", "spec", "matroid:classify_elements", "loops"),
+    ("matroid", "dual", "spec", "matroid:dual", "spec"),
+    ("matroid", "delete", "spec element", "matroid:delete", "spec"),
+    ("matroid", "contract", "spec element", "matroid:contract", "spec"),
+    ("matroid", "sum", "first second", "matroid:direct_sum", "spec"),
+    ("matroid", "component", "spec k", "matroid:homogeneous_component", "component"),
+    ("matroid", "envelope", "spec", "matroid:envelope_bases", "family"),
+    ("matroid", "project", "family element", "matroid:project_element", "projection"),
+    ("polytope", "hrep", "spec", "polytope:hrep", "hrep"),
+    ("polytope", "dim", "spec", "polytope:dimension", "dim"),
+    ("polytope", "contains", "hrep x", "polytope:contains", "contains"),
+    ("polytope", "intersect", "first second", "matroid:intersect", "spec"),
+    ("polytope", "face", "spec facet", "polytope:face", "face"),
+    ("polytope", "vertices", "spec", "polytope:vertex_set", "vertices"),
+    ("tri", "simplices", "spec", "triangulate:triangulate_toric", "simplices"),
+    ("tri", "label", "perm", "triangulate:simplex_cell", "subset"),
+    ("tri", "subdivide", "spec", "triangulate:subdivide", "cells"),
+    ("tri", "volume", "spec", "triangulate:volume", "rational"),
+    ("oracle", "volume", "hrep", "oracle:ehrhart_volume", "rational"),
+    ("oracle", "count", "hrep t", "oracle:count_lattice_points", "dilated",
+     _DOC, _arg("--t", type=int, default=1, help="dilation factor (default 1)")),
+    ("oracle", "member", "vertices x", "oracle:hull_membership", "member"),
+    ("catalan", None, "n", "matroid:catalan_spec", "catalan", _arg("n", type=int)),
+    ("render", None, "lower upper", "paths:skew_svg", None,
+     _arg("json", help="JSON spec document"), _arg("--svg", required=True, help="output file path")),
+)
+_HELP = {  # of the top-level commands; a group's reads "<group> subcommands"
+    "catalan": "staircase interval on 2n elements",
+    "render": "draw the skew diagram of a spec as SVG",
 }
 
 
@@ -370,22 +118,121 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tops = parser.add_subparsers(dest="group", required=True)
     groups = {}  # group name -> the subparsers of its actions
-    for group, action in _HANDLERS:
-        if group not in groups:
-            gp = tops.add_parser(group, help=f"{group} subcommands")
-            groups[group] = gp.add_subparsers(dest="action", required=True)
-        ap = groups[group].add_parser(action)
-        ap.add_argument("json", help="JSON input document")
-        if (group, action) == ("oracle", "count"):
-            ap.add_argument("--t", type=int, default=1, help="dilation factor (default 1)")
-    cat = tops.add_parser("catalan", help="staircase interval on 2n elements")
-    cat.add_argument("n", type=int)
-    ren = tops.add_parser("render", help="draw the skew diagram of a spec as SVG")
-    ren.add_argument("json", help="JSON spec document")
-    ren.add_argument("--svg", required=True, help="output file path")
+    for group, action, reader, target, writer, *arguments in _TABLE:
+        if action is None:
+            sub = tops.add_parser(group, help=_HELP[group])
+        else:
+            if group not in groups:
+                gp = tops.add_parser(group, help=f"{group} subcommands")
+                groups[group] = gp.add_subparsers(dest="action", required=True)
+            sub = groups[group].add_parser(action)
+        for flags, options in arguments or [_DOC]:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(call=(reader, target, writer))
     st = tops.add_parser("selftest", help="run the invariant suite")
     st.add_argument("--max-n", type=int, default=5, dest="max_n", help="largest ground size (default 5)")
     return parser
+
+
+def _lib(target: str):
+    """The callable that ``"module:function"`` names in lpdm, imported and looked up now."""
+    module, name = target.split(":")
+    # ``__import__``, unlike ``importlib.import_module``, shows in ``python -X importtime``
+    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
+
+
+# reader words for a value built from the document's spec, at a cost up to exponential in n
+_BUILT = {"hrep": "polytope:hrep", "vertices": "polytope:vertex_set", "family": "matroid:feasible_sets"}
+
+
+def _read(word: str, obj: dict, spec):
+    """The argument that ``word`` names in the document ``obj``: the field
+    of that name, or the document's spec (``spec()``) or a value built from it."""
+    from .jsonio import facet_from_json, parse_int, parse_int_list, parse_object, parse_point
+    from .jsonio import parse_spec, parse_subset, parse_word
+    if word in ("S", "T"):
+        return parse_subset(obj, word)
+    if word in ("element", "k"):
+        return parse_int(obj, word)
+    if word == "x":
+        return parse_point(obj.get(word))
+    if word == "perm":
+        return _lib("perms:Permutation")(tuple(parse_int_list(obj.get(word), word)))
+    if word in ("P", "Q", "word"):
+        return parse_word(obj, word)
+    if word == "facet":
+        return facet_from_json(parse_object(obj, word))
+    if word in ("first", "second"):
+        return parse_spec(parse_object(obj, word))
+    m = spec()
+    if word in _BUILT:
+        return _lib(_BUILT[word])(m)
+    return {"spec": lambda: m, "lower": m.lower_mask, "upper": m.upper_mask}[word]()
+
+
+def _writers() -> dict:
+    """Writer name -> payload(result, *the target's arguments).  Built on
+    each call, so a jsonio function rebound from outside is the one called."""
+    from .jsonio import family_json, frac_str, hrep_json, layer_json, simplex_json, spec_json
+
+    def family(fam, **more) -> dict:
+        return {**family_json(fam), "count": len(fam), **more}
+
+    def projection(fam, *_) -> dict:
+        lower, upper, is_int = _lib("matroid:family_interval_bounds")(fam)
+        return family(fam, bounds={"lower": sorted(lower), "upper": sorted(upper), "is_interval": is_int})
+
+    def catalan(m, n) -> dict:
+        count = _lib("subsets:interval_size")(m.lower_mask(), m.upper_mask())
+        return {"n": n, "spec": spec_json(m), "count": count}
+
+    return {
+        "members": lambda out, *_: {"count": len(out), "members": [sorted(s.members) for s in out]},
+        "successors": lambda out, *_: {"count": len(out), "successors": [sorted(s.members) for s in out]},
+        "word": lambda out, *_: {"word": out.steps},
+        "subset": lambda out, *_: {"S": sorted(out.members), "n": out.n},
+        "feasible": lambda fam, m: family(fam, spec=spec_json(m)),
+        "witness": lambda w, *_: {
+            "holds": w is None,
+            "witness": None if w is None else {"first": sorted(w[0]), "second": sorted(w[1]), "element": w[2]},
+        },
+        "loops": lambda out, *_: {"loops": sorted(out[0]), "coloops": sorted(out[1])},
+        "spec": lambda out, *_: {"spec": None if out is None else spec_json(out)},
+        "component": lambda out, m, k: {"k": k, "component": None if out is None else layer_json(out)},
+        "family": lambda fam, *_: family(fam),
+        "projection": projection,
+        "hrep": lambda h, *_: hrep_json(h),
+        "dim": lambda d, m: {"dimension": d, "linked": _lib("polytope:is_linked")(m)},
+        "face": lambda res, *_: {
+            "kind": res.kind,
+            "family": family_json(res.family),
+            "factors": None if res.factors is None else [spec_json(f) for f in res.factors],
+        },
+        "vertices": lambda out, *_: {"count": len(out), "vertices": [list(v) for v in out]},
+        "simplices": lambda out, *_: {"count": len(out), "simplices": [simplex_json(x) for x in out]},
+        "cells": lambda sub, *_: {"count": len(sub.cells), "cells": [spec_json(c) for c in sub.cells]},
+        "rational": lambda q, *_: frac_str(q),
+        "dilated": lambda count, h, t: {"t": t, "count": count},
+        "catalan": catalan,
+    }
+
+
+def _call(ns: argparse.Namespace, reader: str, target: str, writer: str | None):
+    """One table row: read the arguments, call the target, shape the payload."""
+    obj = _load(ns) if "json" in ns else None
+    spec = functools.cache(lambda: _lib("jsonio:parse_spec")(obj))  # parsed once, when first read
+    words = reader.split()
+    # the document's own fields first, so a bad one is reported before any value is built
+    order = sorted(words, key=_BUILT.__contains__)
+    read = {word: getattr(ns, word) if word in ns else _read(word, obj, spec) for word in order}
+    args = [read[word] for word in words]
+    out = _lib(target)(*args)
+    if writer is None:  # render: the drawing goes to the file that --svg names
+        with open(ns.svg, "w", encoding="utf-8") as fh:
+            fh.write(out)
+        return {"written": ns.svg, "bytes": len(out.encode("utf-8"))}
+    writers = _writers()
+    return writers[writer](out, *args) if writer in writers else {writer: out}
 
 
 def _run_selftest(ns) -> tuple[object, int, str]:
@@ -414,13 +261,9 @@ def run(argv: Sequence[str] | None = None) -> CommandResult:
     try:
         if ns.group == "selftest":
             payload, code, log = _run_selftest(ns)
-            status = "ok"
-        elif ns.group == "catalan":
-            payload, status, code = _catalan(ns), "ok", 0
-        elif ns.group == "render":
-            payload, status, code = _render(ns), "ok", 0
         else:
-            payload, status, code = _HANDLERS[(ns.group, ns.action)](ns), "ok", 0
+            payload, code = _call(ns, *ns.call), 0
+        status = "ok"
     except LpdmError as exc:
         payload, status, code = {"code": exc.code, "message": str(exc)}, "error", 1
     except OSError as exc:

@@ -18,6 +18,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .matroid import LpdmSpec, SetFamily
+    from .paths import PathWord
     from .polytope import Facet, HRep
     from .subsets import SubsetMask
     from .triangulate import LatticeSimplex
@@ -31,9 +32,11 @@ __all__ = [
     "parse_frac",
     "parse_int",
     "parse_int_list",
+    "parse_object",
     "parse_point",
     "parse_spec",
     "parse_subset",
+    "parse_word",
     "simplex_json",
     "spec_json",
 ]
@@ -56,6 +59,21 @@ def parse_int_list(val, key: str) -> list[int]:
     if not isinstance(val, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in val):
         raise UsageError(f"field {key!r} must be an array of integers")
     return list(val)
+
+
+def parse_object(obj: dict, key: str) -> dict:
+    val = obj.get(key)
+    if not isinstance(val, dict):
+        raise UsageError(f"'{key}' must be a JSON object")
+    return val
+
+
+def parse_word(obj: dict, key: str) -> PathWord:
+    from .paths import PathWord
+    val = obj.get(key)
+    if not isinstance(val, str):
+        raise UsageError(f"'{key}' must be a step word string")
+    return PathWord(val)
 
 
 def parse_subset(obj, key: str = "S", n_key: str = "n") -> SubsetMask:

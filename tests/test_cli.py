@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lpdm
 
-from lpdm.cli import _HANDLERS, CommandResult, main, run
+from lpdm.cli import _TABLE, CommandResult, _read as read, _writers, main, run
+from lpdm.jsonio import parse_spec, spec_json
 
 
 def payload_of(capsys):
@@ -249,14 +251,15 @@ def test_cli_import_leaves_selftest_unloaded():
     assert proc.stdout.splitlines() == ["[]", "['lpdm', 'lpdm.cli', 'lpdm.errors']"]
 
 
-def _imported(argv, src):
-    """Modules a new interpreter imports while it runs ``argv``, from
-    ``-X importtime``; the exit code; stdout."""
+def _imported(src, code, *args):
+    """``sys.modules`` of a new interpreter as it exits after running
+    ``code`` with ``args`` (so an ``importlib`` import counts as well);
+    the exit code; stdout."""
     env = {**os.environ, "PYTHONPATH": src}
-    cmd = [sys.executable, "-X", "importtime", *argv]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
-    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    return names, proc.returncode, proc.stdout
+    hook = "import atexit, sys; atexit.register(lambda: print('modules:', *sys.modules, file=sys.stderr)); "
+    proc = subprocess.run([sys.executable, "-c", hook + code, *args], capture_output=True, text=True, timeout=60, env=env)
+    names = next(line.split()[1:] for line in proc.stderr.splitlines() if line.startswith("modules:"))
+    return set(names), proc.returncode, proc.stdout
 
 
 # one call per group (polytope twice: with and without a rational input) and the
@@ -284,8 +287,9 @@ def test_a_call_loads_only_its_modules(group, tmp_path):
     argv, modules = _LOADS[group]
     if group == "render":
         argv = [*argv, str(tmp_path / "out.svg")]
-    startup, _, _ = _imported(["-c", "pass"], src)
-    names, code, out = _imported(["-m", "lpdm.cli", *argv], src)
+    startup, _, _ = _imported(src, "pass")
+    # as ``python -m lpdm.cli``
+    names, code, out = _imported(src, "import runpy; runpy.run_module('lpdm.cli', run_name='__main__', alter_sys=True)", *argv)
     assert code == 0 and json.loads(out)["status"] == "ok"
     # lpdm.cli runs as __main__, so it is not imported under its own name
     assert {m for m in names if m.split(".")[0] == "lpdm"} == {"lpdm"} | {f"lpdm.{m}" for m in modules.split()}
@@ -348,17 +352,108 @@ _doc = st.builds(
 )
 
 
-@pytest.mark.parametrize("group,action", list(_HANDLERS))
+def _doc_rows() -> dict:
+    """Every table row that reads a JSON document: its test id, and the
+    argv words before and after the document (render writes to the null device)."""
+    rows = {}
+    for group, action, _, _, _, *arguments in _TABLE:
+        if arguments and ("json",) not in [flags for flags, _ in arguments]:
+            continue  # catalan reads no document
+        words = [group, action] if action else [group]
+        rows["-".join(words)] = (words, ["--svg", os.devnull] if group == "render" else [])
+    return rows
+
+
+_DOC_ROWS = _doc_rows()
+
+
+@pytest.mark.parametrize("row", list(_DOC_ROWS))
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(doc=_doc)
-def test_every_document_gets_an_envelope(group, action, doc):
-    res = run([group, action, json.dumps(doc)])
+def test_every_document_gets_an_envelope(row, doc):
+    words, flags = _DOC_ROWS[row]
+    res = run([*words, json.dumps(doc), *flags])
     assert res.exit_code in (0, 1, 2)
     assert (res.status == "ok") == (res.exit_code == 0)
     if res.status == "error":
         assert sorted(res.payload) == ["code", "message"]
         assert all(isinstance(v, str) for v in res.payload.values())
     json.dumps(res.payload, sort_keys=True)
+
+
+# Documents the JSON decoder cannot read: nesting past its recursion limit
+# (bare, or inside a field no command reads), and an integer past Python's
+# limit on digits for an int-from-string conversion.  100,000 levels are far
+# past the decoder's limit on every interpreter: the recursion limit (1,000)
+# through 3.11, the C recursion limit (at most 10,000) from 3.12 on.
+_UNREADABLE = (
+    "[" * 100000,
+    '{"n":3,"S":[],"T":[],"pad":' + "[" * 100000 + "]" * 100000 + "}",
+    '{"n":1' + "0" * 5000 + ',"S":[]}',
+)
+
+
+def test_unreadable_documents_get_a_usage_envelope():
+    for row, (words, flags) in _DOC_ROWS.items():
+        for doc in _UNREADABLE:
+            res = run([*words, doc, *flags])
+            assert (res.status, res.exit_code, res.payload["code"]) == ("error", 2, "usage"), (row, doc[:20])
+            assert res.payload["message"].startswith("input is not valid JSON: ")
+
+
+def _unbuilt(*_):
+    raise AssertionError("a value was built from the spec")
+
+
+def test_a_bad_field_is_reported_before_any_value_is_built(monkeypatch):
+    # the 40-cube has 2^40 vertices and as many feasible sets
+    for target in ("polytope.hrep", "polytope.vertex_set", "matroid.feasible_sets"):
+        monkeypatch.setattr(f"lpdm.{target}", _unbuilt)
+    cube = {"n": 40, "S": [], "T": list(range(1, 41))}
+    for argv, message in (
+        (["oracle", "member", {**cube, "x": "1/2"}], "field 'x' must be an array of rationals"),
+        (["polytope", "contains", {**cube, "x": [True]}], "not a rational: True"),
+        (["matroid", "project", {**cube, "element": "1"}], "field 'element' must be an integer"),
+    ):
+        res = run([*argv[:2], json.dumps(argv[2])])
+        assert (res.exit_code, res.payload) == (2, {"code": "usage", "message": message})
+
+
+def test_read_builds_each_word_as_the_library_does():
+    def _read(word, doc):
+        return read(word, doc, lambda: parse_spec(doc))
+
+    m = lpdm.LpdmSpec.of(3, {1}, {2, 3})
+    doc = {**spec_json(m), "first": {"n": 1, "S": [], "T": []}, "k": 2, "x": ["1/2", 0, 1]}
+    assert _read("spec", doc) == m and _read("first", doc) == lpdm.LpdmSpec.of(1)
+    assert _read("S", doc) == m.lower_mask() == _read("lower", doc)
+    assert _read("T", doc) == m.upper_mask() == _read("upper", doc)
+    assert _read("hrep", doc) == lpdm.hrep(m)
+    assert _read("vertices", doc) == lpdm.vertex_set(m)
+    assert _read("family", doc) == lpdm.feasible_sets(m)
+    assert _read("k", doc) == 2 and _read("x", doc) == (Fraction(1, 2), 0, 1)
+    assert _read("word", {"word": "EN"}) == lpdm.PathWord("EN")
+    assert _read("perm", {"perm": [2, 1]}) == lpdm.Permutation((2, 1))
+    with pytest.raises(KeyError):
+        _read("nonesuch", doc)
+
+
+def test_tri_label_reads_perm_as_an_integer_array():
+    res = run(["tri", "label", '{"perm": [2, true]}'])
+    assert (res.exit_code, res.payload) == (2, {"code": "usage", "message": "field 'perm' must be an array of integers"})
+
+
+def test_writers_shape_the_rare_results():
+    m = lpdm.LpdmSpec.of(3, {1}, {2, 3})
+    w = _writers()
+    assert w["spec"](m) == {"spec": spec_json(m)} and w["spec"](None) == {"spec": None}
+    assert w["component"](None, m, 7) == {"k": 7, "component": None}
+    assert w["witness"](None) == {"holds": True, "witness": None}
+    assert w["witness"]((frozenset({2, 1}), frozenset(), 1)) == {
+        "holds": False,
+        "witness": {"first": [1, 2], "second": [], "element": 1},
+    }
+    assert w["rational"](Fraction(4, 6)) == "2/3"
 
 
 # Random values for the argv flags, kept within bounds whose answers stay

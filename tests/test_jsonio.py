@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lpdm import LpdmSpec, OrderError, SetFamily, UsageError, relabel
+from lpdm import LpdmSpec, OrderError, PathWord, SetFamily, UsageError, relabel
 from lpdm.jsonio import (
     facet_from_json,
     family_json,
@@ -11,9 +11,11 @@ from lpdm.jsonio import (
     parse_frac,
     parse_int,
     parse_int_list,
+    parse_object,
     parse_point,
     parse_spec,
     parse_subset,
+    parse_word,
     spec_json,
 )
 from lpdm.polytope import Facet, hrep
@@ -110,3 +112,29 @@ def test_facet_from_json():
     ):
         with pytest.raises(UsageError):
             facet_from_json(bad)
+
+
+def test_parse_object():
+    doc = {"first": {"n": 1}, "second": [1]}
+    assert parse_object(doc, "first") == {"n": 1}
+    for key, bad in (("second", [1]), ("second", None), ("first", "x"), ("facet", 3), ("facet", [])):
+        with pytest.raises(UsageError, match=f"^'{key}' must be a JSON object$"):
+            parse_object({**doc, key: bad}, key)
+    with pytest.raises(UsageError, match="^'missing' must be a JSON object$"):
+        parse_object(doc, "missing")
+
+
+def test_parse_word():
+    assert parse_word({"P": "ENNE"}, "P") == PathWord("ENNE")
+    for key in ("P", "Q", "word"):
+        for bad in (5, None, ["E", "N"], True, {"E": 1}):
+            with pytest.raises(UsageError, match=f"^'{key}' must be a step word string$"):
+                parse_word({key: bad}, key)
+
+
+def test_parse_int_list_rejects_bools_and_strings():
+    # the perm of ``tri label`` is read this way
+    assert parse_int_list([3, 1, 2], "perm") == [3, 1, 2]
+    for bad in ([1, True], [False], ["1", 2], [2, "1"], [1.0], "12", None):
+        with pytest.raises(UsageError, match="^field 'perm' must be an array of integers$"):
+            parse_int_list(bad, "perm")
