@@ -8,10 +8,13 @@ operations, polytope geometry, unimodular triangulations, and
 independent counting oracles, all in integer and rational arithmetic.
 """
 
+from importlib import import_module as _import
+
 __version__ = "0.1.0"
 
 _ERRORS = ("ArgumentError", "DomainError", "LpdmError", "OrderError", "UsageError")
 _MODULES = ("matroid", "oracle", "paths", "perms", "polytope", "subsets", "triangulate")
+_SUBMODULES = (*_MODULES, "cli", "errors", "jsonio", "selftest")
 
 
 def _public() -> list[str]:
@@ -19,10 +22,8 @@ def _public() -> list[str]:
     them: the root is lazy (PEP 562), so ``import lpdm`` loads no module."""
     root = globals()
     if "__all__" not in root:
-        from importlib import import_module
-
-        public = {name: getattr(import_module(".errors", __name__), name) for name in _ERRORS}
-        for mod in (import_module(f".{short}", __name__) for short in _MODULES):
+        public = {name: getattr(_import(".errors", __name__), name) for name in _ERRORS}
+        for mod in (_import(f".{short}", __name__) for short in _MODULES):
             public.update((name, getattr(mod, name)) for name in mod.__all__)
         # the oracle's suffix-box count stays behind its module, beside the
         # dynamic program it is checked against
@@ -32,6 +33,8 @@ def _public() -> list[str]:
 
 
 def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _import(f".{name}", __name__)
     if name == "__all__" or not name.startswith("__"):
         _public()
         if name in globals():

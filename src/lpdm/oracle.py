@@ -16,8 +16,8 @@ point sets so that it can sit on the other side of an equality test.
   a segment between two others, so the criterion is exact there).
 
 Rational input is read once and scaled to integers by the lcm of its
-denominators (``polytope.as_integers``); the eliminations and pivots
-below are fraction-free.
+denominators (``polytope.as_integers``); ``hull_membership`` scales the
+points and x each by its own lcm.  Eliminations and pivots are fraction-free.
 """
 
 from __future__ import annotations
@@ -234,7 +234,8 @@ def _lp_feasible(columns: list[list[int]], rhs: list[int]) -> bool:
 
 
 def hull_membership(points, x) -> bool:
-    """Exact test: is x a convex combination of the given points?"""
+    """Exact test: is x a convex combination of the given points?  The points
+    and x are scaled to integers each by its own lcm, so each stays small."""
     pts = [tuple(p) for p in points]
     if not pts:
         raise ArgumentError("empty point set")
@@ -249,13 +250,12 @@ def hull_membership(points, x) -> bool:
     # x can equal a point only if its denominators divide the points' lcm
     if sp % sx == 0 and tuple(c * (sp // sx) for c in xs) in pts:
         return True
-    # x and the points at the common scale sp * sx: the exact bounding
-    # box skips most of the obvious outsiders
-    xs = [c * sp for c in xs]
-    if any(not min(col) * sx <= c <= max(col) * sx for c, col in zip(xs, zip(*pts))):
+    # the exact bounding box, cross-multiplied to the common scale sp * sx,
+    # skips most of the obvious outsiders
+    if any(not min(col) * sx <= c * sp <= max(col) * sx for c, col in zip(xs, zip(*pts))):
         return False
-    # rows scaled by sp and the right-hand side by sx: neither changes a pivot
-    return _lp_feasible([list(p) + [sp] for p in pts], xs + [sp * sx])
+    # columns at the points' scale, right-hand side at x's: neither changes a pivot
+    return _lp_feasible([list(p) + [sp] for p in pts], list(xs) + [sx])
 
 
 def is_edge(points, u, v) -> bool:

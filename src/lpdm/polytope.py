@@ -8,14 +8,15 @@ Its vertices are exactly the indicator vectors of the feasible sets,
 and its dimension drops by one for every index where the two profiles
 agree.  Intersecting two such polytopes over the same ground gives
 another one (or nothing): that is ``matroid.intersect``.  Everything
-here is exact and works on integers: a rational point is read through
-``fractions.Fraction`` once, at input, and scaled by the lcm of its
-denominators (``as_integers``); no float is ever used.
+here is exact and works on integers, never floats: ``contains`` reads a
+rational point in one pass, raising a running scale to each denominator
+it meets, and ``as_integers`` scales a point set by one common lcm.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .errors import ArgumentError, DomainError, Frozen
 from .matroid import LpdmSpec, SetFamily, _box_spec, _minor
@@ -54,9 +55,6 @@ def hrep(m: LpdmSpec) -> HRep:
     return HRep(m.n, m.lower_mask().profile, m.upper_mask().profile)
 
 
-_INT = {int}
-
-
 def as_integers(points) -> tuple[int, list[tuple[int, ...]]]:
     """Rational points scaled to integers: (scale, scaled points).
 
@@ -64,37 +62,46 @@ def as_integers(points) -> tuple[int, list[tuple[int, ...]]]:
     ``Fraction`` as it is, anything else through ``Fraction``), and every
     point is multiplied by the lcm of all the denominators.
     """
-    rows = []
-    scale = 1
-    for p in points:
-        p = tuple(p)
-        exact = set(map(type, p)) <= _INT
-        if not exact:
-            import fractions  # here, not at the top: integer-only commands never load it
+    pts = [tuple(p) for p in points]
+    if set(map(type, chain.from_iterable(pts))) <= {int}:
+        return 1, pts
+    import fractions  # here, not at the top: integer-only commands never load it
 
-            p = tuple(c if isinstance(c, (int, fractions.Fraction)) else fractions.Fraction(c) for c in p)
-            scale = math.lcm(scale, *(c.denominator for c in p))
-        rows.append((exact, p))
-    return scale, [
-        p if exact and scale == 1 else tuple(c.numerator * (scale // c.denominator) for c in p)
-        for exact, p in rows
-    ]
+    pts = [tuple(c if isinstance(c, (int, fractions.Fraction)) else fractions.Fraction(c) for c in p) for p in pts]
+    scale = math.lcm(*(c.denominator for c in chain.from_iterable(pts)))
+    return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in pts]
 
 
 def contains(h: HRep, point) -> bool:
     """Exact membership test against the half-space description.
 
-    An integer point is tested as it is; any other point is scaled to
-    integers once, and its suffix sums are compared with the scaled bounds.
+    The point is read once, from x_n down: ints as they are, and from the
+    first coordinate that is not an int on, at a running scale raised to the
+    lcm with each new denominator (the suffix sum so far rescaled with it),
+    so a point that leaves the polytope early reads no further coordinate.
     """
     pt = tuple(point)
     if len(pt) != h.n:
         raise ArgumentError(f"point has {len(pt)} coordinates, expected {h.n}")
-    scale = 1
-    if not set(map(type, pt)) <= _INT:
-        scale, (pt,) = as_integers([pt])
+    rows = zip(reversed(pt), reversed(h.lower), reversed(h.upper))
     s = 0
-    for x, lo, hi in zip(reversed(pt), reversed(h.lower), reversed(h.upper)):
+    for x, lo, hi in rows:
+        if type(x) is not int:
+            break
+        s += x
+        if not (0 <= x <= 1 and lo <= s <= hi):
+            return False
+    else:
+        return True
+    import fractions
+
+    scale = 1
+    for c, lo, hi in chain([(x, lo, hi)], rows):
+        c = c if isinstance(c, (int, fractions.Fraction)) else fractions.Fraction(c)
+        num, d = c.as_integer_ratio()
+        if scale % d:
+            s, scale = s * (d // math.gcd(scale, d)), math.lcm(scale, d)
+        x = num * (scale // d)
         s += x
         if not (0 <= x <= scale and lo * scale <= s <= hi * scale):
             return False

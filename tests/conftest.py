@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from lpdm import LpdmSpec, all_subsets, gale_leq
 
@@ -29,3 +31,25 @@ def specs_n5_two_grounds():
                 if gale_leq(s, t)
             ]
     return out
+
+
+@pytest.fixture(scope="session")
+def spell_mixed():
+    """A function (rng, point) -> the point with each coordinate spelled at
+    random as a Fraction, a string, and where exact also as an int, a bool
+    or a float: every spelling reads back as the same rational."""
+
+    def spell(rng, point):
+        out = []
+        for c in map(Fraction, point):
+            forms = [c, str(c)]
+            if c.denominator & (c.denominator - 1) == 0:  # a power of two
+                forms.append(float(c))
+            if c.denominator == 1:
+                forms.append(int(c))
+            if c in (0, 1):
+                forms.append(bool(c))
+            out.append(rng.choice(forms))
+        return tuple(out)
+
+    return spell

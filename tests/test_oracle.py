@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from lpdm import (
     vertex_set,
 )
 from lpdm.oracle import count_suffix_box
+from lpdm.polytope import as_integers
 
 
 # Slow, independent routes: the rational tableau and the rational
@@ -223,6 +225,31 @@ def test_is_edge_square():
     assert is_edge([(0, 0), (1, 1)], (0, 0), (1, 1))  # nothing else left
     with pytest.raises(ArgumentError):
         is_edge(SQUARE, (0, 0), (0, 0))
+
+
+def as_integers_reference(points):
+    """Every point times the lcm of all the denominators, over Fraction."""
+    pts = [[Fraction(c) for c in p] for p in points]
+    scale = math.lcm(*(c.denominator for p in pts for c in p))
+    return scale, [tuple(int(c * scale) for c in p) for p in pts]
+
+
+def test_as_integers_matches_the_common_lcm_reference(spell_mixed):
+    rng = random.Random(13)
+    for _ in range(300):
+        pts = random_cloud(rng, rng.randint(1, 5))
+        mixed = [spell_mixed(rng, p) for p in pts]
+        want = as_integers_reference(pts)
+        for given in (pts, mixed, map(list, mixed)):
+            scale, got = as_integers(given)
+            assert (scale, got) == want, mixed
+            assert all(type(c) is int for p in got for c in p)
+        ints = [tuple(int(12 * c) for c in p) for p in pts]
+        assert as_integers(map(list, ints)) == (1, ints)
+    # all ints: scale 1, and the points come back as tuples
+    assert as_integers([[1, -2], (0, 3)]) == (1, [(1, -2), (0, 3)])
+    assert as_integers([]) == (1, [])
+    assert as_integers([("1/2", 0.25), (True, 3)]) == (4, [(2, 1), (4, 12)])
 
 
 def test_affine_rank():

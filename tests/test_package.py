@@ -52,6 +52,17 @@ def test_bare_import_loads_no_library_module():
     assert _fresh("import lpdm; assert not hasattr(lpdm, '__wrapped__'); " + loaded) == "['lpdm']"
 
 
+def test_a_submodule_name_loads_that_module_alone():
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('lpdm')))"
+    jsonio_only = "['lpdm', 'lpdm.errors', 'lpdm.jsonio']"
+    assert _fresh("from lpdm import jsonio; " + loaded) == jsonio_only
+    assert _fresh("import lpdm; lpdm.jsonio.parse_object; " + loaded) == jsonio_only
+    # the public names still resolve and list as before, after or without it
+    probe = "import lpdm; {}print(lpdm.volume.__module__, dir(lpdm) == {!r})"
+    for first in ("", "from lpdm import jsonio, polytope; "):
+        assert _fresh(probe.format(first, sorted(ROOT_NAMES))) == "lpdm.triangulate True"
+
+
 def test_star_import_and_dir_give_the_root_names():
     star = "from lpdm import *; print(sorted(k for k in globals() if k[0] != '_' and k != 'sys'))"
     assert _fresh(star) == str(sorted(ROOT_NAMES))

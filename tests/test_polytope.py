@@ -114,6 +114,71 @@ def test_contains_input_parity():
     assert contains(HRep(0, (), ()), ())
 
 
+DENOMS = (1, 2, 3, 4, 5, 6, 7, 12)
+
+
+def random_hrep(rng, n):
+    """The polytope between the meet and the join of two random subsets'
+    profiles, with the two subsets' indicator vectors as vertices."""
+    ends = [tuple(int(rng.random() < 0.5) for _ in range(n)) for _ in range(2)]
+    profiles = [list(accumulate(reversed(v)))[::-1] for v in ends]
+    return HRep(n, tuple(map(min, *profiles)), tuple(map(max, *profiles))), ends
+
+
+def long_points(rng, n, ends):
+    """Convex combinations of the two vertices (ints where they agree),
+    and the same with one or more coordinates redrawn in [0, 1], each with
+    its own denominator from DENOMS, so a running scale grows mid-scan."""
+    u, v = ends
+    for k in range(24):
+        w = Fraction(rng.randint(0, 12), 12)
+        x = [a if a == b else w * a + (1 - w) * b for a, b in zip(u, v)]
+        for i in rng.sample(range(n), (0, 1, rng.randint(2, n))[k % 3]):
+            d = rng.choice(DENOMS)
+            x[i] = Fraction(rng.randint(0, d), d)
+        yield tuple(x)
+
+
+def test_contains_matches_fraction_reference_on_long_points(spell_mixed):
+    rng = random.Random(2024)
+    hits = misses = 0
+    for n in range(8, 25):
+        for _ in range(4):
+            h, ends = random_hrep(rng, n)
+            for x in long_points(rng, n, ends):
+                want = contains_reference(h, x)
+                assert contains(h, x) == want, (h, x)
+                assert contains(h, spell_mixed(rng, x)) == want, (h, x)
+                hits += want
+                misses += not want
+            # out at the first coordinate scanned (x_n) and at the last (x_1)
+            inside = tuple(Fraction(a + b, 2) for a, b in zip(*ends))
+            assert contains(h, inside)
+            for i, bad in ((n - 1, Fraction(-1, 7)), (n - 1, Fraction(13, 12)), (0, Fraction(-1, 5)), (0, Fraction(8, 7))):
+                x = inside[:i] + (bad,) + inside[i + 1 :]
+                assert not contains(h, x) and not contains(h, spell_mixed(rng, x)), (h, x)
+    assert hits > 500 and misses > 500, (hits, misses)
+
+
+class Unreadable(Fraction):
+    """A Fraction whose value must not be read."""
+
+    def as_integer_ratio(self):
+        raise AssertionError("a coordinate past the point's exit was read")
+
+    numerator = denominator = property(as_integer_ratio)
+
+
+def test_contains_stops_reading_where_the_point_leaves():
+    h = hrep(LpdmSpec.of(10, {10}, {1, 10}))  # x_10 must be 1
+    assert not contains(h, (Unreadable(1, 2),) * 9 + (Fraction(1, 2),))
+    assert not contains(h, (Unreadable(1, 2),) * 8 + (Fraction(3, 2), Fraction(1)))
+    assert not contains(h, (Unreadable(1, 2),) * 9 + (2,))  # an int leaves first
+    assert contains(h, ("1/2",) + (0,) * 8 + (Fraction(1),))
+    assert contains(h, (Fraction(1, 2),) + (0,) * 8 + (1,))  # ints, then a rational
+    assert not contains(h, ("3/2",) + (0,) * 8 + (Fraction(1),))
+
+
 def test_vertices_satisfy_hrep(specs_n3):
     for m in specs_n3:
         h = hrep(m)
