@@ -106,8 +106,8 @@ def parse_spec(obj) -> LpdmSpec:
 def spec_json(m: LpdmSpec) -> dict:
     out = {
         "n": m.n,
-        "S": [m.ground[p - 1] for p in sorted(m.lower_mask().members)],
-        "T": [m.ground[p - 1] for p in sorted(m.upper_mask().members)],
+        "S": [m.ground[p - 1] for p in m.lower_mask().as_tuple()],
+        "T": [m.ground[p - 1] for p in m.upper_mask().as_tuple()],
     }
     if not m.standard_ground():
         out["ground"] = list(m.ground)

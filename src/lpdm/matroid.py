@@ -36,11 +36,13 @@ size, so the layers and the envelope are specs like any other: between
 sets of one size, the Gale order is the elementwise order of their
 sorted tuples.
 
-A ``SetFamily`` holds its members as int bitmasks over ground positions
-(bit i - 1 for position i), as ``subsets._completions`` builds them.
-Counting, membership, the exchange axiom, projection, the interval
-bounds and the JSON lists all work on the masks; the frozenset
-``members`` are decoded only when first read.
+One int encoding serves subsets and families: bit i - 1 stands for
+ground position i.  A spec's bounds are ``SubsetMask`` bits, and a
+``SetFamily`` holds its members as such ints, as
+``subsets._completions`` builds them.  Counting, membership, the
+exchange axiom, projection, the interval bounds and the JSON lists all
+work on the masks; the frozenset ``members`` are decoded only when
+first read.
 """
 
 from __future__ import annotations
@@ -98,12 +100,13 @@ class LpdmSpec(Frozen):
         ground = tuple(ground)
         lower, upper = frozenset(lower), frozenset(upper)
         _check_ground(ground)
+        masks = []
         for side in (lower, upper):
-            if not side <= set(ground):
+            bits = sum(1 << i for i, g in enumerate(ground) if g in side)
+            if bits.bit_count() != len(side):  # a label outside the (distinct) ground sets no bit
                 raise ArgumentError(f"bound {sorted(side)!r} is not within the ground {ground!r}")
-        index = {g: i for i, g in enumerate(ground, start=1)}
-        lower_mask = SubsetMask(len(ground), frozenset(index[x] for x in lower))
-        upper_mask = SubsetMask(len(ground), frozenset(index[x] for x in upper))
+            masks.append(SubsetMask._trusted(len(ground), bits))
+        lower_mask, upper_mask = masks
         if not gale_leq(lower_mask, upper_mask):
             raise OrderError(f"lower bound {sorted(lower)!r} is not below {sorted(upper)!r}")
         self.__dict__.update(ground=ground, lower=lower, upper=upper, _lower_mask=lower_mask, _upper_mask=upper_mask)
@@ -116,9 +119,10 @@ class LpdmSpec(Frozen):
         k = len(ground)
         spec = object.__new__(cls)
         for name, prof in (("lower", low), ("upper", high)):
-            mask = SubsetMask._trusted(k, frozenset(j + 1 for j in range(k) if prof[j] > prof[j + 1]))
+            picked = [j for j in range(k) if prof[j] > prof[j + 1]]
+            mask = SubsetMask._trusted(k, sum(1 << j for j in picked))
             mask.__dict__["profile"] = tuple(prof[:k])
-            spec.__dict__[name] = frozenset(ground[p - 1] for p in mask.members)
+            spec.__dict__[name] = frozenset(ground[j] for j in picked)
             spec.__dict__[f"_{name}_mask"] = mask
         spec.__dict__["ground"] = ground
         return spec
@@ -138,8 +142,7 @@ class LpdmSpec(Frozen):
             raise ArgumentError(f"label {label!r} is not in the ground {self.ground!r}") from None
 
     def labels(self, positions) -> frozenset[int]:
-        members = positions.members if isinstance(positions, SubsetMask) else positions
-        return frozenset(self.ground[p - 1] for p in members)
+        return frozenset(self.ground[p - 1] for p in positions)
 
     def lower_mask(self) -> SubsetMask:
         return self._lower_mask
@@ -298,9 +301,8 @@ def classify_elements(m: LpdmSpec) -> tuple[frozenset[int], frozenset[int]]:
     the dual.
     """
     n = m.n
-    lower, upper = m.lower_mask(), m.upper_mask()
-    s, t = lower.members, upper.members
-    a, b = lower.profile, upper.profile
+    s, t = m.lower_mask(), m.upper_mask()
+    a, b = s.profile, t.profile
     # positions above which the two bounds hold the same number of elements
     pinned = [p for p in range(1, n + 1) if p == n or a[p] == b[p]]
     loops = m.labels(p for p in pinned if p not in s and p not in t)
@@ -424,7 +426,7 @@ def envelope_ground(n: int) -> tuple[int, ...]:
 def signed_label_set(s: SubsetMask) -> frozenset[int]:
     """S together with -i for every i not in S: the n-subset of the
     signed ground that encodes S."""
-    return frozenset(i if i in s.members else -i for i in range(1, s.n + 1))
+    return frozenset(i if i in s else -i for i in range(1, s.n + 1))
 
 
 def envelope_bases(m: LpdmSpec) -> SetFamily:

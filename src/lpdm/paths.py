@@ -63,14 +63,13 @@ def subset_from_path(p: PathWord) -> SubsetMask:
     if not is_symmetric(p):
         raise DomainError(f"path word is not symmetric: {p.steps!r}")
     n = p.n
-    members = {i for i in range(1, n + 1) if p.steps[n + i - 1] == "E"}
-    return SubsetMask(n, frozenset(members))
+    return SubsetMask._trusted(n, sum(1 << i for i in range(n) if p.steps[n + i] == "E"))
 
 
 def path_from_subset(s: SubsetMask) -> PathWord:
     """Inverse of ``subset_from_path``: the symmetric word for S."""
     n = s.n
-    second = "".join("E" if i in s.members else "N" for i in range(1, n + 1))
+    second = "".join("E" if i in s else "N" for i in range(1, n + 1))
     first = "".join("N" if c == "E" else "E" for c in reversed(second))
     return PathWord(first + second)
 

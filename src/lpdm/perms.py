@@ -62,31 +62,18 @@ class Permutation(Frozen):
 
     def descent_set(self) -> SubsetMask:
         """Positions i with w(i) > w(i+1), as a subset of [n-1]."""
-        n = self.n
-        members = {i for i in range(1, n) if self.images[i - 1] > self.images[i]}
-        return SubsetMask(max(n - 1, 0), frozenset(members))
+        w = self.images
+        return SubsetMask._trusted(max(len(w) - 1, 0), sum(1 << i for i in range(len(w) - 1) if w[i] > w[i + 1]))
 
     def ascent_set(self) -> SubsetMask:
-        n = self.n
-        members = {i for i in range(1, n) if self.images[i - 1] < self.images[i]}
-        return SubsetMask(max(n - 1, 0), frozenset(members))
+        w = self.images
+        return SubsetMask._trusted(max(len(w) - 1, 0), sum(1 << i for i in range(len(w) - 1) if w[i] < w[i + 1]))
 
 
 def all_permutations(n: int):
     """All permutations of [n] in lexicographic one-line order."""
     for images in itertools.permutations(range(1, n + 1)):
         yield Permutation(images)
-
-
-def _normalize_descents(n: int, dset) -> tuple[int, ...]:
-    if isinstance(dset, SubsetMask):
-        members = sorted(dset.members)
-    else:
-        members = sorted(set(dset))
-    for d in members:
-        if not isinstance(d, int) or not 1 <= d <= n - 1:
-            raise ArgumentError(f"descent position {d!r} outside [1, {n - 1}]")
-    return tuple(members)
 
 
 def _descent_layers(lo, hi):
@@ -143,8 +130,13 @@ def count_perms_in_descent_box(lo, hi) -> int:
 
 
 def _descent_profile(n: int, dset) -> tuple[int, ...]:
-    """|dset inter [i, n-1]| for i = 1, ..., n."""
-    return SubsetMask(n, frozenset(_normalize_descents(max(n, 1), dset))).profile
+    """|dset inter [i, n-1]| for i = 1, ..., n; ``dset`` must lie in [1, n-1]."""
+    bits = 0
+    for d in dset.as_tuple() if isinstance(dset, SubsetMask) else sorted(set(dset)):
+        if not isinstance(d, int) or not 0 < d < n:
+            raise ArgumentError(f"descent position {d!r} outside [1, {max(n, 1) - 1}]")
+        bits |= 1 << d - 1
+    return SubsetMask._trusted(n, bits).profile
 
 
 def count_perms_with_descent_set(n: int, dset) -> int:
@@ -200,33 +192,20 @@ def eulerian_number(n: int, k: int) -> int:
 
 
 def chain_to_permutation(chain: GaleChain) -> Permutation:
-    """Read off which step slides l-1 to l (adjoins 1 when l = 1).
+    """Read off which step slides l-1 to l (adjoins 1 when l = 1): the
+    highest bit that the step flips, bit l - 1.
 
     The chain must run from some S inside [n-1] to S u {n} in n cover
-    steps; anything else is rejected.
+    steps (a start holding n cannot: S u {n} is then S); anything else
+    is rejected.  Each cover raises one suffix count by one, and all n
+    rise by one from S to S u {n}, so each l is slid exactly once.
     """
-    steps = chain.steps
-    n = chain.n
-    start, end = steps[0], steps[-1]
-    if n in start.members or len(steps) != n + 1 or end.members != (start.members | {n}):
+    steps, n = chain.steps, chain.n
+    if not n or len(steps) != n + 1 or steps[-1].bits != steps[0].bits | 1 << n - 1:
         raise DomainError("chain does not run from S to S u {n} in n steps")
     images = [0] * n
-    for idx in range(1, len(steps)):
-        added = steps[idx].members - steps[idx - 1].members
-        removed = steps[idx - 1].members - steps[idx].members
-        if not removed and added == {1}:
-            slid = 1
-        elif len(added) == 1 and len(removed) == 1:
-            (a,) = added
-            (r,) = removed
-            if r != a - 1:
-                raise DomainError(f"step {idx} is not a slide or an adjoin-1 move")
-            slid = a
-        else:
-            raise DomainError(f"step {idx} is not a slide or an adjoin-1 move")
-        if images[slid - 1]:
-            raise DomainError(f"element {slid} is produced twice along the chain")
-        images[slid - 1] = idx
+    for idx in range(1, n + 1):
+        images[(steps[idx - 1].bits ^ steps[idx].bits).bit_length() - 1] = idx
     return Permutation(tuple(images))
 
 
@@ -236,25 +215,15 @@ def permutation_to_chain(p: Permutation, start: SubsetMask) -> GaleChain:
     ``start`` must be a subset of [n-1] equal to the descent set of
     ``p``; the chain is rebuilt by applying, at step i, the move that
     slides w^{-1}(i) - 1 to w^{-1}(i) (adjoining 1 when w^{-1}(i) = 1).
+    With the descent set checked, every such move is a cover.
     """
     n = p.n
     if start.n != n:
         raise ArgumentError(f"start lives on [{start.n}], permutation on [{n}]")
-    if p.descent_set().members != start.members:
-        raise DomainError(f"descent set of {p.images!r} is not {sorted(start.members)!r}")
-    order = p.inverse().images  # order[i-1] = the element slid at step i
-    cur = set(start.members)
-    steps = [start]
-    for i in range(1, n + 1):
-        l = order[i - 1]
-        if l == 1:
-            if 1 in cur:
-                raise DomainError("cannot adjoin 1 twice")
-            cur.add(1)
-        else:
-            if l - 1 not in cur or l in cur:
-                raise DomainError(f"cannot slide {l - 1} to {l} at step {i}")
-            cur.discard(l - 1)
-            cur.add(l)
-        steps.append(SubsetMask(n, frozenset(cur)))
+    if p.descent_set().bits != start.bits:
+        raise DomainError(f"descent set of {p.images!r} is not {list(start.as_tuple())!r}")
+    cur, steps = start.bits, [start]
+    for l in p.inverse().images:  # the element slid at steps 1, ..., n
+        cur ^= 3 << l - 2 if l > 1 else 1
+        steps.append(SubsetMask._trusted(n, cur))
     return GaleChain(tuple(steps))

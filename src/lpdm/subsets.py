@@ -1,8 +1,12 @@
 """Subsets of an ordered ground set and the signed (type C) Gale order.
 
-A subset S of {1, ..., n} is encoded by its suffix-count profile
+A subset S of {1, ..., n} is a ``SubsetMask``: an int bitmask with bit
+i - 1 set for each member i.  The interval enumerator, the covers, the
+chain counts and the specs of ``lpdm.matroid`` build and read that int;
+the frozenset of members is decoded only when a caller reads it.  The
+order reads the suffix-count profile
 
-    S.profile[i - 1] = |{s in S : s >= i}|,   i = 1, ..., n,
+    S.profile[i - 1] = |{s in S : s >= i}| = popcount(bits >> (i - 1)),
 
 which a ``SubsetMask`` computes on first use and keeps.  Profiles are
 exactly the integer vectors p with p_n in {0, 1} and p_i - p_{i+1} in
@@ -46,7 +50,10 @@ __all__ = [
 
 
 class SubsetMask(Frozen):
-    """A subset of the ground set {1, ..., n}."""
+    """A subset of the ground set {1, ..., n}, held as the int bitmask
+    ``bits`` (bit i - 1 for member i).  Its frozenset ``members`` are
+    decoded on first read and kept; ``hash`` and ``repr`` go through
+    them, equality compares ``(n, bits)``."""
 
     _fields = ("n", "members")
 
@@ -54,68 +61,66 @@ class SubsetMask(Frozen):
         if not isinstance(n, int) or n < 0:
             raise ArgumentError(f"ground size must be a non-negative integer, got {n!r}")
         members = frozenset(members)
+        bits = 0
         for x in members:
             if not isinstance(x, int) or not 1 <= x <= n:
                 raise ArgumentError(f"member {x!r} outside ground set [1, {n}]")
-        self.__dict__.update(n=n, members=members)
+            bits |= 1 << x - 1
+        self.__dict__.update(n=n, bits=bits, members=members)
 
     @classmethod
-    def of(cls, n: int, members=()) -> "SubsetMask":
-        return cls(n, frozenset(members))
-
-    @classmethod
-    def _trusted(cls, n: int, members: frozenset[int]) -> "SubsetMask":
-        """A mask built inside the package from members already known to
-        lie in [1, n]: nothing is checked."""
+    def _trusted(cls, n: int, bits: int) -> "SubsetMask":
+        """A mask built inside the package from bits already known to lie
+        below bit n: nothing is checked."""
         s = object.__new__(cls)
-        s.__dict__.update(n=n, members=members)
+        s.__dict__.update(n=n, bits=bits)
         return s
 
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.as_tuple())
+
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return tuple(_spell(self.bits, range(1, self.n + 1), None))
 
     @cached_property
     def profile(self) -> tuple[int, ...]:
         """Suffix counts |S inter {i, ..., n}| for i = 1, ..., n."""
-        out = [0] * (self.n + 1)
-        for i in range(self.n, 0, -1):
-            out[i - 1] = out[i] + (i in self.members)
-        return tuple(out[: self.n])
+        bits = self.bits
+        return tuple([(bits >> i).bit_count() for i in range(self.n)])
 
     def complement(self) -> "SubsetMask":
-        return SubsetMask(self.n, frozenset(range(1, self.n + 1)) - self.members)
+        return SubsetMask._trusted(self.n, self.bits ^ (1 << self.n) - 1)
 
     def __contains__(self, x: int) -> bool:
-        return x in self.members
+        return isinstance(x, int) and 0 < x <= self.n and self.bits >> x - 1 & 1 == 1
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.bits.bit_count()
 
     # masks are set members on the enumeration hot paths: compare the fields directly
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.n, self.members) == (other.n, other.members)
+            return self.n == other.n and self.bits == other.bits
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.n, self.members))
 
     def __repr__(self) -> str:
-        inner = ",".join(str(x) for x in self.as_tuple())
+        inner = ",".join(map(str, self.as_tuple()))
         return f"SubsetMask({self.n}, {{{inner}}})"
 
 
 def sort_key(s: SubsetMask) -> tuple[int, tuple[int, ...]]:
     """Canonical listing order: by cardinality, then lexicographically."""
-    return (len(s.members), s.as_tuple())
+    return (len(s), s.as_tuple())
 
 
 def all_subsets(n: int):
     """All subsets of [n] in canonical order."""
-    ground = range(1, n + 1)
-    for k in range(n + 1):
-        for combo in itertools.combinations(ground, k):
-            yield SubsetMask(n, frozenset(combo))
+    for x in _completions((0,) * n, tuple(range(n, 0, -1))):
+        yield SubsetMask._trusted(n, x)
 
 
 def _require_same_n(s: SubsetMask, t: SubsetMask) -> None:
@@ -140,13 +145,9 @@ def mask_from_profile(counts) -> SubsetMask:
     counts = tuple(counts)
     if not is_valid_profile(counts):
         raise ArgumentError(f"{counts!r} is not a suffix-count profile")
-    n = len(counts)
-    members = set()
-    for i in range(1, n + 1):
-        nxt = counts[i] if i < n else 0
-        if counts[i - 1] - nxt == 1:
-            members.add(i)
-    return SubsetMask(n, frozenset(members))
+    n, ends = len(counts), counts[1:] + (0,)
+    # member i is where the suffix count drops: counts[i - 1] > counts[i]
+    return SubsetMask._trusted(n, sum(1 << i for i in range(n) if counts[i] > ends[i]))
 
 
 def gale_leq(s: SubsetMask, t: SubsetMask) -> bool:
@@ -156,8 +157,8 @@ def gale_leq(s: SubsetMask, t: SubsetMask) -> bool:
 
 
 def gale_rank(s: SubsetMask) -> int:
-    """Rank in the order: the sum of the members."""
-    return sum(s.members)
+    """Rank in the order: the sum of the members (of the suffix counts)."""
+    return sum(s.profile)
 
 
 def _require_interval(lower: SubsetMask, upper: SubsetMask) -> None:
@@ -256,10 +257,8 @@ def _decode(masks, labels: tuple[int, ...], kind, zero=None) -> list:
 def interval(lower: SubsetMask, upper: SubsetMask) -> list[SubsetMask]:
     """All subsets A with lower <= A <= upper, in canonical order."""
     _require_interval(lower, upper)
-    n = lower.n
-    rows = _decode(_completions(lower.profile, upper.profile), tuple(range(1, n + 1)), frozenset)
-    mask = SubsetMask._trusted
-    return [mask(n, ms) for ms in rows]
+    n, mask = lower.n, SubsetMask._trusted
+    return [mask(n, x) for x in _completions(lower.profile, upper.profile)]
 
 
 def interval_size(lower: SubsetMask, upper: SubsetMask) -> int:
@@ -274,39 +273,46 @@ def interval_size(lower: SubsetMask, upper: SubsetMask) -> int:
     return sum(row)
 
 
+def _covers(x: int, n: int):
+    """(b, y) for each mask y covering the mask x over [n], b being the
+    bit that y sets, in canonical order: slide each movable bit of x
+    (set, with the bit above it clear and inside [n]) up one place,
+    highest first, as a larger slid element gives the lexicographically
+    smaller set; then adjoin 1 (set bit 0) when it is clear."""
+    movable = x & ~(x >> 1) & ((1 << n) - 1) >> 1
+    while movable:
+        b = movable.bit_length()  # the slide clears bit b - 1 and sets bit b
+        movable ^= 1 << b - 1
+        yield b, x ^ 3 << b - 1
+    if n and not x & 1:
+        yield 0, x | 1
+
+
 def cover_successors(s: SubsetMask) -> list[SubsetMask]:
     """Subsets covering S, in canonical order: slide some i in S to i+1
     (larger i first gives the lexicographically smaller set), then
-    adjoin 1."""
-    n, members = s.n, s.members
-    out = [
-        SubsetMask._trusted(n, (members - {i}) | {i + 1})
-        for i in sorted(members, reverse=True)
-        if i < n and i + 1 not in members
-    ]
-    if n >= 1 and 1 not in members:
-        out.append(SubsetMask._trusted(n, members | {1}))
-    return out
+    adjoin 1.  Built on the bits of S."""
+    n, mask = s.n, SubsetMask._trusted
+    return [mask(n, y) for _, y in _covers(s.bits, n)]
 
 
 def count_maximal_chains(lower: SubsetMask, upper: SubsetMask) -> int:
-    """Number of saturated chains from ``lower`` to ``upper``."""
+    """Saturated chains from ``lower`` to ``upper``, counted rank by rank on bitmasks."""
     _require_interval(lower, upper)
     # every cover raises the rank by one, so the chains reach upper after
     # exactly this many steps, and nothing else below upper has its rank;
-    # a cover that adds e raises only the profile entry at e, so a
-    # successor of a set below upper stays below iff that entry does
-    top = upper.profile
-    ways = {lower.members: 1}
+    # a cover that sets bit b raises only the suffix count at b + 1, so a
+    # successor of a set below upper stays below iff that count does
+    n, top = lower.n, upper.profile
+    ways = {lower.bits: 1}
     for _ in range(gale_rank(upper) - gale_rank(lower)):
-        step: dict[frozenset[int], int] = {}
-        for ms, count in ways.items():
-            for nxt in cover_successors(SubsetMask._trusted(lower.n, ms)):
-                (e,) = nxt.members - ms
-                if sum(1 for x in nxt.members if x >= e) <= top[e - 1]:
-                    step[nxt.members] = step.get(nxt.members, 0) + count
+        step: dict[int, int] = {}
+        for x, count in ways.items():
+            for b, y in _covers(x, n):
+                if (y >> b).bit_count() <= top[b]:
+                    step[y] = step.get(y, 0) + count
         ways = step
-    return ways[upper.members]
+    return ways[upper.bits]
 
 
 class GaleChain(Frozen):

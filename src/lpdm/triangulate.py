@@ -134,9 +134,8 @@ def is_toric(m: LpdmSpec) -> bool:
     positionally, with S inside [n-1]?"""
     if m.n < 1:
         return False
-    s = m.lower_mask().members
-    t = m.upper_mask().members
-    return m.n not in s and t == (s | {m.n})
+    s, top = m.lower_mask().bits, 1 << m.n - 1
+    return not s & top and m.upper_mask().bits == s | top
 
 
 def triangulate_toric(m: LpdmSpec) -> list[LatticeSimplex]:
@@ -146,7 +145,7 @@ def triangulate_toric(m: LpdmSpec) -> list[LatticeSimplex]:
     if not is_toric(m):
         raise DomainError("spec is not a toric cell [S, S u {n}]")
     n = m.n
-    descents = [n - s for s in m.lower_mask().members]
+    descents = [n - s for s in m.lower_mask().as_tuple()]
     out = [eulerian_simplex(u.inverse()) for u in perms_with_descent_set(n, descents)]
     out.sort(key=lambda simp: simp.perm.images)
     return out
@@ -164,17 +163,16 @@ class Subdivision(Frozen):
 def subdivide(m: LpdmSpec) -> Subdivision:
     """Cells [R, R u {n}] for every R between the lower bound and the
     upper bound minus n; their union is the parent polytope and their
-    interiors are disjoint."""
+    interiors are disjoint.  Each cell is built from the profile of R,
+    and that profile plus one for R u {n}, with nothing checked again."""
     if m.n == 0:
         raise DomainError("no cell lives on the empty ground")
     if not is_linked(m):
         raise DomainError("only linked (full-dimensional) specs subdivide into cells")
-    n = m.n
-    s = m.lower_mask()
-    t_minus = SubsetMask(n, m.upper_mask().members - {n})
+    t_minus = SubsetMask._trusted(m.n, m.upper_mask().bits & ~(1 << m.n - 1))
     cells = tuple(
-        LpdmSpec(m.ground, m.labels(r), m.labels(SubsetMask(n, r.members | {n})))
-        for r in interval(s, t_minus)
+        LpdmSpec._trusted(m.ground, r.profile + (0,), tuple(c + 1 for c in r.profile) + (0,))
+        for r in interval(m.lower_mask(), t_minus)
     )
     return Subdivision(m, cells)
 

@@ -192,8 +192,16 @@ def test_permutation_to_chain_needs_matching_start():
         permutation_to_chain(w, SubsetMask(2, frozenset()))  # descent set is {1}
 
 
+def test_chain_to_permutation_rejects_chains_off_the_cell():
+    # both are valid chains of covers, but neither runs from S inside [n-1] to S u {n} in n steps
+    with pytest.raises(DomainError):
+        chain_to_permutation(chain_of(3, (), {1}, {2}))  # ends below {3}
+    with pytest.raises(DomainError):
+        chain_to_permutation(chain_of(3, {3}, {1, 3}, {2, 3}, {1, 2, 3}))  # starts holding 3
+
+
 def test_round_trip_small():
-    for n in (1, 2, 3, 4):
+    for n in range(1, 8):
         for w in all_permutations(n):
             start = SubsetMask(n, w.descent_set().members)
             assert chain_to_permutation(permutation_to_chain(w, start)) == w

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -242,3 +243,51 @@ def test_decode_spells_every_mask_from_tables_or_bits(n):
         assert _decode(masks, labels, tuple) == spelled
         assert _decode(masks, labels, frozenset) == list(map(frozenset, spelled))
         assert _decode(masks, (1,) * n, tuple, 0) == [tuple(x >> i & 1 for i in range(n)) for x in masks]
+
+
+def test_bit_form_matches_a_frozenset_reference():
+    for n in range(9):
+        for k in range(n + 1):
+            for combo in itertools.combinations(range(1, n + 1), k):
+                ref = frozenset(combo)
+                checked = SubsetMask(n, ref)
+                trusted = SubsetMask._trusted(n, sum(1 << x - 1 for x in combo))
+                assert trusted == checked and checked == trusted and hash(trusted) == hash(checked)
+                for s in (checked, trusted):
+                    assert s.profile == tuple(sum(1 for x in ref if x >= i) for i in range(1, n + 1))
+                    assert len(s) == len(ref)
+                    assert [x in s for x in range(-1, n + 2)] == [x in ref for x in range(-1, n + 2)]
+                    assert s.members == ref and s.as_tuple() == combo
+                    assert repr(s) == f"SubsetMask({n}, {{{','.join(map(str, combo))}}})"
+                    assert sort_key(s) == (k, combo)
+                    assert gale_rank(s) == sum(ref)
+                    assert s.complement().members == frozenset(range(1, n + 1)) - ref
+                    assert mask_from_profile(s.profile) == s
+
+
+def count_maximal_chains_reference(lower, upper):
+    """The rank-by-rank chain count over frozensets of members: every
+    cover adjoins 1 or slides a member up by one, and a cover that adds
+    e keeps a set below upper iff its suffix count at e stays below."""
+    n = lower.n
+    top = [sum(1 for x in upper.members if x >= i) for i in range(1, n + 1)]
+    ways = {lower.members: 1}
+    for _ in range(sum(upper.members) - sum(lower.members)):
+        step = {}
+        for ms, count in ways.items():
+            covers = [(ms - {i}) | {i + 1} for i in ms if i < n and i + 1 not in ms]
+            covers += [ms | {1}] if n >= 1 and 1 not in ms else []
+            for nxt in covers:
+                (e,) = nxt - ms
+                if sum(1 for x in nxt if x >= e) <= top[e - 1]:
+                    step[nxt] = step.get(nxt, 0) + count
+        ways = step
+    return ways[upper.members]
+
+
+def test_count_maximal_chains_matches_frozenset_reference():
+    pairs = [p for n in range(7) for p in comparable_pairs(n)]
+    pairs += [p for n in range(9, 13) for p in seeded_pairs(n, 50)]
+    assert len(pairs) > 1000
+    for s, t in pairs:
+        assert count_maximal_chains(s, t) == count_maximal_chains_reference(s, t), (s, t)

@@ -9,12 +9,16 @@ from lpdm import (
     LatticeSimplex,
     LpdmSpec,
     Permutation,
+    SubsetMask,
     all_permutations,
     all_subsets,
     ehrhart_volume,
     eulerian_simplex,
     fractional_prefix_sums,
+    gale_leq,
     hrep,
+    interval,
+    is_linked,
     is_toric,
     mask_from_profile,
     simplex_cell,
@@ -137,6 +141,32 @@ def test_subdivide_cube():
     with pytest.raises(DomainError):  # no cell lives on the empty ground
         subdivide(LpdmSpec.of(0))
     assert volume(LpdmSpec.of(0)) == 1
+
+
+def test_trusted_cells_equal_the_validating_constructor():
+    specs = []
+    for n in range(1, 7):
+        masks = list(all_subsets(n))
+        for ground in (tuple(range(1, n + 1)), tuple(10 * x + 7 for x in range(n, 0, -1))):
+            specs += [
+                LpdmSpec(ground, frozenset(ground[p - 1] for p in s.members), frozenset(ground[p - 1] for p in t.members))
+                for s in masks
+                for t in masks
+                if gale_leq(s, t)
+            ]
+    linked = [m for m in specs if is_linked(m)]
+    assert len(linked) > 1000
+    for m in linked:
+        n = m.n
+        ranks = interval(m.lower_mask(), SubsetMask(n, m.upper_mask().members - {n}))
+        want = [LpdmSpec(m.ground, m.labels(r.members), m.labels(r.members | {n})) for r in ranks]
+        got = subdivide(m).cells
+        assert list(got) == want and list(map(hash, got)) == list(map(hash, want))
+        assert list(map(repr, got)) == list(map(repr, want))
+        for cell, ref in zip(got, want):
+            assert (cell.lower_mask(), cell.upper_mask()) == (ref.lower_mask(), ref.upper_mask())
+            assert cell.lower_mask().profile == ref.lower_mask().profile
+            assert cell.upper_mask().profile == ref.upper_mask().profile
 
 
 def test_volume_worked():

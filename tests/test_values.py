@@ -157,7 +157,7 @@ def test_trusted_spec_equals_the_validated_one():
 
 
 def test_cached_properties_on_frozen_instances():
-    mask = SubsetMask._trusted(4, frozenset({2, 4}))
+    mask = SubsetMask._trusted(4, 0b1010)
     assert "profile" not in vars(mask)
     assert mask.profile == (2, 2, 1, 1) and vars(mask)["profile"] is mask.profile
     assert mask == SubsetMask(4, frozenset({2, 4}))
