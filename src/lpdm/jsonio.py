@@ -76,10 +76,10 @@ def parse_word(obj: dict, key: str) -> PathWord:
     return PathWord(val)
 
 
-def parse_subset(obj, key: str = "S", n_key: str = "n") -> SubsetMask:
+def parse_subset(obj, key: str = "S") -> SubsetMask:
     from .subsets import SubsetMask
     obj = _require_dict(obj, "input")
-    n = parse_int(obj, n_key)
+    n = parse_int(obj, "n")
     if key not in obj:
         raise UsageError(f"missing field {key!r}")
     return SubsetMask(n, frozenset(parse_int_list(obj[key], key)))
@@ -149,9 +149,9 @@ def parse_frac(val) -> Fraction:
     raise UsageError(f"not a rational: {val!r}")
 
 
-def parse_point(val, key: str = "x") -> tuple[Fraction, ...]:
+def parse_point(val) -> tuple[Fraction, ...]:
     if not isinstance(val, list):
-        raise UsageError(f"field {key!r} must be an array of rationals")
+        raise UsageError("field 'x' must be an array of rationals")
     return tuple(parse_frac(c) for c in val)
 
 

@@ -11,7 +11,7 @@ boundary.
 The operations implemented here:
 
 * ``feasible_sets``        -- enumerate the interval.
-* ``verify_exchange``      -- the symmetric exchange axiom, with witness.
+* ``exchange_witness``     -- the symmetric exchange axiom: None, or a witness.
 * ``classify_elements``    -- loops and coloops.
 * ``dual``, ``delete``, ``contract``, ``direct_sum``, ``intersect`` --
   minors, sums and crossings, all returning interval specs again.
@@ -76,7 +76,6 @@ __all__ = [
     "project_element",
     "relabel",
     "signed_label_set",
-    "verify_exchange",
 ]
 
 
@@ -285,11 +284,6 @@ def _first_failure(family: SetFamily, a1: frozenset[int]):
         for e in diff:
             if not any(a1 ^ {e, f} in members for f in diff):
                 return (a1, a2, e)
-
-
-def verify_exchange(family: SetFamily) -> bool:
-    """Does the family satisfy the symmetric exchange axiom?"""
-    return exchange_witness(family) is None
 
 
 def classify_elements(m: LpdmSpec) -> tuple[frozenset[int], frozenset[int]]:

@@ -7,7 +7,8 @@ i, so the walk is fixed by 180-degree rotation about the antidiagonal
 point (n/2, n/2) of the square.  Symmetric words correspond bijectively
 to subsets of [n]: record which of the last n steps are E steps.  The
 dominance order on paths (one path weakly below another) matches the
-Gale order on the corresponding subsets.
+Gale order on the corresponding subsets.  The skew diagram between two
+bounding paths is a frozenset of its (column, row) unit cells.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .subsets import SubsetMask, _require_interval
 
 __all__ = [
     "PathWord",
-    "SkewBoxSet",
     "bounding_path_meets",
     "column_heights",
     "is_snake",
@@ -114,38 +114,18 @@ def path_points(p: PathWord) -> list[tuple[int, int]]:
     return pts
 
 
-class SkewBoxSet(Frozen):
-    """Unit cells between two nested paths, as (column, row) pairs."""
-
-    _fields = ("n", "boxes")
-
-    def __init__(self, n: int, boxes: frozenset[tuple[int, int]]) -> None:
-        boxes = frozenset(boxes)
-        for (c, r) in boxes:
-            if not (0 <= c < n and 0 <= r < n):
-                raise ArgumentError(f"cell {(c, r)!r} outside the {n} x {n} square")
-        self.__dict__.update(n=n, boxes=boxes)
-
-    def is_antidiagonally_symmetric(self) -> bool:
-        """Invariance under (c, r) -> (n-1-r, n-1-c)."""
-        return all((self.n - 1 - r, self.n - 1 - c) in self.boxes for (c, r) in self.boxes)
-
-
-def skew_boxes(lower: SubsetMask, upper: SubsetMask) -> SkewBoxSet:
-    """Cells strictly between the bounding paths of ``lower`` and ``upper``."""
+def skew_boxes(lower: SubsetMask, upper: SubsetMask) -> frozenset[tuple[int, int]]:
+    """The (column, row) cells strictly between the bounding paths of
+    ``lower`` and ``upper``."""
     _require_interval(lower, upper)
     lo = column_heights(path_from_subset(lower))
     hi = column_heights(path_from_subset(upper))
-    cells = set()
-    for c in range(lower.n):
-        for r in range(lo[c], hi[c]):
-            cells.add((c, r))
-    return SkewBoxSet(lower.n, frozenset(cells))
+    return frozenset((c, r) for c in range(lower.n) for r in range(lo[c], hi[c]))
 
 
 def is_snake(lower: SubsetMask, upper: SubsetMask) -> bool:
     """No 2 x 2 block of cells in the skew diagram."""
-    boxes = skew_boxes(lower, upper).boxes
+    boxes = skew_boxes(lower, upper)
     return not any(
         (c + 1, r) in boxes and (c, r + 1) in boxes and (c + 1, r + 1) in boxes
         for (c, r) in boxes
@@ -169,12 +149,12 @@ def bounding_path_meets(lower: SubsetMask, upper: SubsetMask) -> int:
     return meets
 
 
-def skew_svg(lower: SubsetMask, upper: SubsetMask, cell: int = 32) -> str:
+def skew_svg(lower: SubsetMask, upper: SubsetMask) -> str:
     """Deterministic SVG picture: the two bounding paths, the skew cells
     between them, and the antidiagonal of the square."""
     boxes = skew_boxes(lower, upper)
     n = lower.n
-    pad = cell
+    cell = pad = 32  # pixels
     size = 2 * pad + max(n, 1) * cell
 
     def pt(x, y) -> tuple[int, int]:
@@ -191,7 +171,7 @@ def skew_svg(lower: SubsetMask, upper: SubsetMask, cell: int = 32) -> str:
         parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" stroke="#ddd" stroke-width="1"/>')
         (x0, y0), (x1, y1) = pt(0, i), pt(n, i)
         parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" stroke="#ddd" stroke-width="1"/>')
-    for (c, r) in sorted(boxes.boxes):
+    for (c, r) in sorted(boxes):
         x, y = pt(c, r + 1)
         parts.append(
             f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '

@@ -2,9 +2,10 @@
 
 Saturated chains from S to S u {n} in the Gale order (S a subset of
 [n-1]) are counted by the number of permutations of [n] with descent set
-exactly S.  The bijection: reading a chain step by step, the move
-"slide l-1 to l" (or "adjoin 1" when l = 1) happens exactly once for
-each l in [n]; record at which step it happens and call that w(l).
+exactly S.  A chain is a tuple of ``SubsetMask`` steps.  The bijection:
+reading a chain step by step, the move "slide l-1 to l" (or "adjoin 1"
+when l = 1) happens exactly once for each l in [n]; record at which step
+it happens and call that w(l).
 
 Every descent count here (one descent set, a Gale interval of them, a
 number of descents) comes from one transfer-matrix table over suffixes,
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import ArgumentError, DomainError, Frozen
-from .subsets import GaleChain, SubsetMask
+from .subsets import SubsetMask
 
 __all__ = [
     "Permutation",
@@ -41,18 +42,9 @@ class Permutation(Frozen):
             raise ArgumentError(f"{images!r} is not a permutation of [n]")
         self.__dict__["images"] = images
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise ArgumentError(f"position {i} outside [1, {self.n}]")
-        return self.images[i - 1]
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
@@ -191,7 +183,7 @@ def eulerian_number(n: int, k: int) -> int:
     return count_perms_in_descent_box((k,) + (0,) * (n - 1), (k,) + (n,) * (n - 1))
 
 
-def chain_to_permutation(chain: GaleChain) -> Permutation:
+def chain_to_permutation(steps: tuple[SubsetMask, ...]) -> Permutation:
     """Read off which step slides l-1 to l (adjoins 1 when l = 1): the
     highest bit that the step flips, bit l - 1.
 
@@ -200,16 +192,22 @@ def chain_to_permutation(chain: GaleChain) -> Permutation:
     is rejected.  Each cover raises one suffix count by one, and all n
     rise by one from S to S u {n}, so each l is slid exactly once.
     """
-    steps, n = chain.steps, chain.n
+    n = steps[0].n if steps else 0
     if not n or len(steps) != n + 1 or steps[-1].bits != steps[0].bits | 1 << n - 1:
         raise DomainError("chain does not run from S to S u {n} in n steps")
     images = [0] * n
     for idx in range(1, n + 1):
-        images[(steps[idx - 1].bits ^ steps[idx].bits).bit_length() - 1] = idx
+        prev, cur = steps[idx - 1], steps[idx]
+        flip = prev.bits ^ cur.bits
+        l = flip.bit_length()
+        # a cover flips bits l - 2 and l - 1 (bit 0 alone when l = 1) and sets the higher one
+        if cur.n != n or not l or flip != 3 << l >> 2 or cur.bits & flip != 1 << l - 1:
+            raise DomainError(f"{prev!r} -> {cur!r} is not a cover step")
+        images[l - 1] = idx
     return Permutation(tuple(images))
 
 
-def permutation_to_chain(p: Permutation, start: SubsetMask) -> GaleChain:
+def permutation_to_chain(p: Permutation, start: SubsetMask) -> tuple[SubsetMask, ...]:
     """Inverse of ``chain_to_permutation``.
 
     ``start`` must be a subset of [n-1] equal to the descent set of
@@ -226,4 +224,4 @@ def permutation_to_chain(p: Permutation, start: SubsetMask) -> GaleChain:
     for l in p.inverse().images:  # the element slid at steps 1, ..., n
         cur ^= 3 << l - 2 if l > 1 else 1
         steps.append(SubsetMask._trusted(n, cur))
-    return GaleChain(tuple(steps))
+    return tuple(steps)

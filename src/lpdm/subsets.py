@@ -31,11 +31,10 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .errors import ArgumentError, DomainError, Frozen, OrderError
+from .errors import ArgumentError, Frozen, OrderError
 
 __all__ = [
     "SubsetMask",
-    "GaleChain",
     "all_subsets",
     "cover_successors",
     "count_maximal_chains",
@@ -52,10 +51,10 @@ __all__ = [
 class SubsetMask(Frozen):
     """A subset of the ground set {1, ..., n}, held as the int bitmask
     ``bits`` (bit i - 1 for member i).  Its frozenset ``members`` are
-    decoded on first read and kept; ``hash`` and ``repr`` go through
-    them, equality compares ``(n, bits)``."""
+    decoded on first read and kept, and ``repr`` goes through them;
+    equality and ``hash`` read ``(n, bits)``."""
 
-    _fields = ("n", "members")
+    _fields = ("n", "bits")
 
     def __init__(self, n: int, members: frozenset[int] = frozenset()) -> None:
         if not isinstance(n, int) or n < 0:
@@ -89,9 +88,6 @@ class SubsetMask(Frozen):
         bits = self.bits
         return tuple([(bits >> i).bit_count() for i in range(self.n)])
 
-    def complement(self) -> "SubsetMask":
-        return SubsetMask._trusted(self.n, self.bits ^ (1 << self.n) - 1)
-
     def __contains__(self, x: int) -> bool:
         return isinstance(x, int) and 0 < x <= self.n and self.bits >> x - 1 & 1 == 1
 
@@ -105,7 +101,7 @@ class SubsetMask(Frozen):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.n, self.members))
+        return hash((self.n, self.bits))
 
     def __repr__(self) -> str:
         inner = ",".join(map(str, self.as_tuple()))
@@ -314,28 +310,3 @@ def count_maximal_chains(lower: SubsetMask, upper: SubsetMask) -> int:
         ways = step
     return ways[upper.bits]
 
-
-class GaleChain(Frozen):
-    """A saturated chain: consecutive steps are covers (rank goes up by 1)."""
-
-    _fields = ("steps",)
-
-    def __init__(self, steps: tuple[SubsetMask, ...]) -> None:
-        steps = tuple(steps)
-        self.__dict__["steps"] = steps
-        if not steps:
-            raise ArgumentError("a chain needs at least one subset")
-        n = steps[0].n
-        for s in steps:
-            if s.n != n:
-                raise ArgumentError("chain mixes ground sizes")
-        for prev, cur in zip(steps, steps[1:]):
-            if gale_rank(cur) != gale_rank(prev) + 1 or not gale_leq(prev, cur):
-                raise DomainError(f"{prev!r} -> {cur!r} is not a cover step")
-
-    @property
-    def n(self) -> int:
-        return self.steps[0].n
-
-    def __len__(self) -> int:
-        return len(self.steps)

@@ -35,31 +35,12 @@ __all__ = [
     "LatticeSimplex",
     "Subdivision",
     "eulerian_simplex",
-    "fractional_prefix_sums",
     "is_toric",
     "simplex_cell",
     "subdivide",
     "triangulate_toric",
     "volume",
 ]
-
-
-def fractional_prefix_sums(point) -> tuple[Fraction, ...]:
-    """x |-> fractional parts of (x_1, x_1+x_2, ..., x_1+...+x_n).
-
-    A piecewise-linear, volume-preserving self-map of the cube; its
-    inverse composed with coordinate reversal carries the order
-    simplices onto the ``eulerian_simplex`` images.
-    """
-    xs = tuple(Fraction(v) for v in point)
-    if any(x < 0 or x > 1 for x in xs):
-        raise ArgumentError("point outside the unit cube")
-    out = []
-    run = Fraction(0)
-    for x in xs:
-        run += x
-        out.append(run % 1)
-    return tuple(out)
 
 
 class LatticeSimplex(Frozen):
@@ -102,8 +83,8 @@ def eulerian_simplex(w: Permutation) -> LatticeSimplex:
     verts = []
     for k in range(n + 1):
         x = [0] * n
-        for j in range(n - k + 1, n + 1):
-            x[w(j) - 1] = 1
+        for v in w.images[n - k:]:
+            x[v - 1] = 1
         y = [0] * n
         if n:
             y[n - 1] = x[0]

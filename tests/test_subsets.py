@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 from lpdm import (
     ArgumentError,
     DomainError,
-    GaleChain,
     OrderError,
+    Permutation,
     SubsetMask,
     all_subsets,
+    chain_to_permutation,
     count_maximal_chains,
     cover_successors,
     gale_leq,
@@ -42,7 +43,6 @@ def test_construction_validates_members():
 
 def test_complement_and_len():
     s = mask(4, 1, 3)
-    assert s.complement() == mask(4, 2, 4)
     assert len(s) == 2 and 3 in s and 2 not in s
 
 
@@ -132,12 +132,15 @@ def test_cover_successors_worked():
 
 
 def test_chain_validation():
-    good = GaleChain((mask(2), mask(2, 1), mask(2, 2)))
-    assert good.n == 2 and len(good) == 3
-    with pytest.raises(DomainError):
-        GaleChain((mask(2), mask(2, 1, 2)))  # skips a rank
-    with pytest.raises(ArgumentError):
-        GaleChain(())
+    # a chain is a tuple of masks; chain_to_permutation checks that each step is a cover
+    assert chain_to_permutation((mask(2), mask(2, 1), mask(2, 2))) == Permutation((1, 2))
+    assert chain_to_permutation((mask(2, 1), mask(2, 2), mask(2, 1, 2))) == Permutation((2, 1))
+    with pytest.raises(DomainError, match=r"\(2, \{\}\) -> SubsetMask\(2, \{1,2\}\) is not a cover step$"):
+        chain_to_permutation((mask(2), mask(2, 1, 2), mask(2, 2)))  # skips a rank
+    with pytest.raises(DomainError, match=r"\(4, \{2\}\) -> SubsetMask\(4, \{1\}\) is not a cover step$"):
+        chain_to_permutation((mask(4), mask(4, 1), mask(4, 2), mask(4, 1), mask(4, 4)))  # goes down
+    with pytest.raises(DomainError, match="^chain does not run from S to S u {n} in n steps$"):
+        chain_to_permutation(())
 
 
 def test_count_maximal_chains_values():
@@ -261,7 +264,6 @@ def test_bit_form_matches_a_frozenset_reference():
                     assert repr(s) == f"SubsetMask({n}, {{{','.join(map(str, combo))}}})"
                     assert sort_key(s) == (k, combo)
                     assert gale_rank(s) == sum(ref)
-                    assert s.complement().members == frozenset(range(1, n + 1)) - ref
                     assert mask_from_profile(s.profile) == s
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -14,7 +15,6 @@ from lpdm import (
     all_subsets,
     ehrhart_volume,
     eulerian_simplex,
-    fractional_prefix_sums,
     gale_leq,
     hrep,
     interval,
@@ -27,16 +27,6 @@ from lpdm import (
     triangulate_toric,
     volume,
 )
-
-
-def test_fractional_prefix_sums():
-    assert fractional_prefix_sums((Fraction(1, 2), Fraction(3, 4))) == (
-        Fraction(1, 2),
-        Fraction(1, 4),
-    )
-    assert fractional_prefix_sums(()) == ()
-    with pytest.raises(ArgumentError):
-        fractional_prefix_sums((2, 0))
 
 
 def test_lattice_simplex_validates():
@@ -65,12 +55,12 @@ def test_eulerian_simplices_unimodular():
 
 
 def test_prefix_sum_transport():
-    # reversing then summing the barycenter recovers the inverse
-    # permutation scaled into the open cube
+    # the fractional parts of the prefix sums of the reversed barycenter
+    # recover the inverse permutation scaled into the open cube
     for n in (1, 2, 3, 4):
         for w in all_permutations(n):
             bary = eulerian_simplex(w).barycenter()
-            got = fractional_prefix_sums(tuple(reversed(bary)))
+            got = tuple(x % 1 for x in accumulate(reversed(bary)))
             winv = w.inverse().images
             assert got == tuple(Fraction(winv[i], n + 1) for i in range(n))
 
@@ -125,7 +115,7 @@ def test_triangulate_toric_matches_label_filter():
 def test_triangulate_toric_is_output_sensitive():
     # the bottom cell of the 11-cube holds only the identity's simplex
     (simp,) = triangulate_toric(LpdmSpec.of(11, (), {11}))
-    assert simp.perm == Permutation.identity(11)
+    assert simp.perm == Permutation(tuple(range(1, 12)))
 
 
 def test_subdivide_cube():
