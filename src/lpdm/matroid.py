@@ -97,8 +97,8 @@ class LpdmSpec(Frozen):
 
     def __init__(self, ground: tuple[int, ...], lower: frozenset[int], upper: frozenset[int]) -> None:
         ground = tuple(ground)
-        lower, upper = frozenset(lower), frozenset(upper)
         _check_ground(ground)
+        lower, upper = frozenset(lower), frozenset(upper)
         masks = []
         for side in (lower, upper):
             bits = sum(1 << i for i, g in enumerate(ground) if g in side)
@@ -111,7 +111,7 @@ class LpdmSpec(Frozen):
         self.__dict__.update(ground=ground, lower=lower, upper=upper, _lower_mask=lower_mask, _upper_mask=upper_mask)
 
     @classmethod
-    def _trusted(cls, ground: tuple[int, ...], low, high) -> "LpdmSpec":
+    def _from_profiles(cls, ground: tuple[int, ...], low, high) -> "LpdmSpec":
         """A spec built inside the package on a checked ground from two
         profiles, each with a closing 0, that are valid and ordered:
         nothing is checked, and the masks start with their profiles."""
@@ -325,7 +325,7 @@ def _box_spec(ground: tuple[int, ...], lo, hi):
         high[j] = min(high[j], high[j - 1])
     if any(x > y for x, y in zip(low, high)):
         return None
-    return LpdmSpec._trusted(ground, low, high)
+    return LpdmSpec._from_profiles(ground, low, high)
 
 
 def _minor(m: LpdmSpec, label: int, x: int):
@@ -375,12 +375,11 @@ def relabel(m: LpdmSpec, new_ground) -> LpdmSpec:
     new_ground = tuple(new_ground)
     if len(new_ground) != m.n:
         raise ArgumentError(f"new ground has {len(new_ground)} labels, expected {m.n}")
-    _check_ground(new_ground)
     mapping = dict(zip(m.ground, new_ground))
     return LpdmSpec(
         new_ground,
-        frozenset(mapping[x] for x in m.lower),
-        frozenset(mapping[x] for x in m.upper),
+        (mapping[x] for x in m.lower),
+        (mapping[x] for x in m.upper),
     )
 
 

@@ -156,7 +156,7 @@ def _int_det(rows: list[list[int]]) -> int:
 
 def simplex_volume(vertices) -> Fraction:
     """Euclidean volume of the simplex on n+1 integer vertices in R^n."""
-    verts = [tuple(v) for v in getattr(vertices, "vertices", vertices)]
+    verts = [tuple(v) for v in vertices]
     if not verts:
         raise ArgumentError("no vertices")
     n = len(verts[0])

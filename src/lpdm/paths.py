@@ -41,7 +41,7 @@ class PathWord(Frozen):
             raise ArgumentError(f"path word must use only E and N: {steps!r}")
         if steps.count("E") * 2 != len(steps):
             raise ArgumentError(f"path word is not balanced: {steps!r}")
-        self.__dict__["steps"] = steps
+        super().__init__(steps)
 
     @property
     def n(self) -> int:
@@ -71,7 +71,7 @@ def path_from_subset(s: SubsetMask) -> PathWord:
     n = s.n
     second = "".join("E" if i in s else "N" for i in range(1, n + 1))
     first = "".join("N" if c == "E" else "E" for c in reversed(second))
-    return PathWord(first + second)
+    return PathWord._trusted(first + second)
 
 
 def path_leq(p: PathWord, q: PathWord) -> bool:

@@ -40,7 +40,7 @@ class Permutation(Frozen):
         images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ArgumentError(f"{images!r} is not a permutation of [n]")
-        self.__dict__["images"] = images
+        super().__init__(images)
 
     @property
     def n(self) -> int:
@@ -50,7 +50,7 @@ class Permutation(Frozen):
         inv = [0] * self.n
         for i, v in enumerate(self.images, start=1):
             inv[v - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation._trusted(tuple(inv))
 
     def descent_set(self) -> SubsetMask:
         """Positions i with w(i) > w(i+1), as a subset of [n-1]."""
@@ -65,7 +65,7 @@ class Permutation(Frozen):
 def all_permutations(n: int):
     """All permutations of [n] in lexicographic one-line order."""
     for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
+        yield Permutation._trusted(images)
 
 
 def _descent_layers(lo, hi):
@@ -124,7 +124,7 @@ def count_perms_in_descent_box(lo, hi) -> int:
 def _descent_profile(n: int, dset) -> tuple[int, ...]:
     """|dset inter [i, n-1]| for i = 1, ..., n; ``dset`` must lie in [1, n-1]."""
     bits = 0
-    for d in dset.as_tuple() if isinstance(dset, SubsetMask) else sorted(set(dset)):
+    for d in sorted(set(dset)):
         if not isinstance(d, int) or not 0 < d < n:
             raise ArgumentError(f"descent position {d!r} outside [1, {max(n, 1) - 1}]")
         bits |= 1 << d - 1
@@ -151,7 +151,7 @@ def perms_with_descent_set(n: int, dset):
         raise ArgumentError("n must be non-negative")
     prof = _descent_profile(n, dset)
     if n == 0:
-        yield Permutation(())
+        yield Permutation._trusted(())
         return
     layers = list(_descent_layers(prof, prof))
     # a state (values left, prefix, r, d): the next value is the r-th
@@ -164,7 +164,7 @@ def perms_with_descent_set(n: int, dset):
         prefix += (left[r - 1],)
         left = left[: r - 1] + left[r:]
         if not left:
-            yield Permutation(prefix)
+            yield Permutation._trusted(prefix)
             continue
         below = layers[len(left) - 1]
         for r2 in range(len(left), 0, -1):
@@ -204,7 +204,7 @@ def chain_to_permutation(steps: tuple[SubsetMask, ...]) -> Permutation:
         if cur.n != n or not l or flip != 3 << l >> 2 or cur.bits & flip != 1 << l - 1:
             raise DomainError(f"{prev!r} -> {cur!r} is not a cover step")
         images[l - 1] = idx
-    return Permutation(tuple(images))
+    return Permutation._trusted(tuple(images))
 
 
 def permutation_to_chain(p: Permutation, start: SubsetMask) -> tuple[SubsetMask, ...]:

@@ -48,11 +48,11 @@ class HRep(Frozen):
             raise ArgumentError("bounds must be suffix-count profiles")
         if any(a > b for a, b in zip(lower, upper)):
             raise ArgumentError("lower bounds exceed upper bounds")
-        self.__dict__.update(n=n, lower=lower, upper=upper)
+        super().__init__(n, lower, upper)
 
 
 def hrep(m: LpdmSpec) -> HRep:
-    return HRep(m.n, m.lower_mask().profile, m.upper_mask().profile)
+    return HRep._trusted(m.n, m.lower_mask().profile, m.upper_mask().profile)
 
 
 def as_integers(points) -> tuple[int, list[tuple[int, ...]]]:
@@ -143,7 +143,7 @@ class Facet(Frozen):
             raise ArgumentError(f"coordinate facet level must be 0 or 1, got {level!r}")
         if kind == "suffix" and level not in ("lower", "upper"):
             raise ArgumentError(f"suffix facet level must be 'lower' or 'upper', got {level!r}")
-        self.__dict__.update(kind=kind, index=index, level=level)
+        super().__init__(kind, index, level)
 
 
 class FaceResult(Frozen):
@@ -157,9 +157,6 @@ class FaceResult(Frozen):
     """
 
     _fields = ("family", "factors", "kind")
-
-    def __init__(self, family: SetFamily, factors: tuple[LpdmSpec, ...] | None, kind: str) -> None:
-        self.__dict__.update(family=family, factors=factors, kind=kind)
 
 
 def face(m: LpdmSpec, facet: Facet) -> FaceResult:

@@ -736,7 +736,7 @@ def toric_triangulation(cap: int) -> str:
         by_cell: dict[frozenset[int], list[Permutation]] = {}
         for w in all_permutations(n):
             simp = eulerian_simplex(w)
-            _ok(simplex_volume(simp) == unit, f"simplex of {w!r} is not unimodular")
+            _ok(simplex_volume(simp.vertices) == unit, f"simplex of {w!r} is not unimodular")
             by_cell.setdefault(simplex_cell(w).members, []).append(w)
             simplices += 1
         rng = _rng(f"toric:{n}")
@@ -762,7 +762,7 @@ def toric_triangulation(cap: int) -> str:
                 == sorted(w.images for w in by_cell.get(s.members, [])),
                 f"triangulation of {m!r} picks the wrong permutations",
             )
-            _ok(sum(simplex_volume(x) for x in simps) == volume(m), f"simplex volumes of {m!r} do not add up")
+            _ok(sum(simplex_volume(x.vertices) for x in simps) == volume(m), f"simplex volumes of {m!r} do not add up")
             for x in simps:
                 for vtx in x.vertices:
                     _ok(contains(h, vtx), f"simplex vertex {vtx} escapes {m!r}")
@@ -1080,9 +1080,6 @@ ACCEPTANCE: tuple[tuple[int, str, int, str], ...] = (
 
 class CheckResult(Frozen):
     _fields = ("name", "passed", "detail", "seconds")
-
-    def __init__(self, name: str, passed: bool, detail: str, seconds: float) -> None:
-        self.__dict__.update(name=name, passed=passed, detail=detail, seconds=seconds)
 
 
 def run_selftest(max_n: int = 5, names=None) -> list[CheckResult]:

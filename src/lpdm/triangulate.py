@@ -56,7 +56,7 @@ class LatticeSimplex(Frozen):
         n = len(verts[0])
         if any(len(v) != n for v in verts) or len(verts) != n + 1:
             raise ArgumentError("need exactly n+1 vertices of equal dimension n")
-        self.__dict__.update(vertices=verts, perm=perm)
+        super().__init__(verts, perm)
 
     @property
     def n(self) -> int:
@@ -64,9 +64,7 @@ class LatticeSimplex(Frozen):
 
     def barycenter(self) -> tuple[Fraction, ...]:
         k = len(self.vertices)
-        return tuple(
-            Fraction(sum(v[i] for v in self.vertices), k) for i in range(self.n)
-        )
+        return tuple(Fraction(sum(c), k) for c in zip(*self.vertices))
 
 
 def eulerian_simplex(w: Permutation) -> LatticeSimplex:
@@ -78,21 +76,16 @@ def eulerian_simplex(w: Permutation) -> LatticeSimplex:
     chain coordinates.  The empty permutation gives the one-point
     simplex ((),).
     """
-    n = w.n
-    winv = w.inverse().images
-    verts = []
-    for k in range(n + 1):
-        x = [0] * n
-        for v in w.images[n - k:]:
-            x[v - 1] = 1
-        y = [0] * n
-        if n:
-            y[n - 1] = x[0]
-        for i in range(1, n):
-            step = 1 if winv[i] < winv[i - 1] else 0
-            y[n - i - 1] = x[i] - x[i - 1] + step
+    n, winv = w.n, w.inverse().images
+    # vertex 0 is the shift alone: y_{n-i} = [w^{-1}(i+1) < w^{-1}(i)], y_n = 0
+    y = [int(winv[i] < winv[i - 1]) for i in range(n - 1, 0, -1)] + [0] * min(n, 1)
+    verts = [tuple(y)]
+    for v in reversed(w.images):  # the next vertex sets x_v = 1: y_{n+1-v} rises, y_{n-v} falls
+        y[n - v] += 1
+        if v < n:
+            y[n - v - 1] -= 1
         verts.append(tuple(y))
-    return LatticeSimplex(tuple(verts), w)
+    return LatticeSimplex._trusted(tuple(verts), w)
 
 
 def simplex_cell(w: Permutation) -> SubsetMask:
@@ -103,11 +96,8 @@ def simplex_cell(w: Permutation) -> SubsetMask:
     n = w.n
     if n == 0:
         raise DomainError("the empty permutation lies in no cell: a cell needs n >= 1")
-    simp = eulerian_simplex(w)
-    mins = []
-    for i in range(1, n + 1):
-        mins.append(min(sum(v[i - 1 :]) for v in simp.vertices))
-    return mask_from_profile(tuple(mins))
+    verts = eulerian_simplex(w).vertices
+    return mask_from_profile(tuple(min(sum(v[i:]) for v in verts) for i in range(n)))
 
 
 def is_toric(m: LpdmSpec) -> bool:
@@ -137,9 +127,6 @@ class Subdivision(Frozen):
 
     _fields = ("parent", "cells")
 
-    def __init__(self, parent: LpdmSpec, cells: tuple[LpdmSpec, ...]) -> None:
-        self.__dict__.update(parent=parent, cells=cells)
-
 
 def subdivide(m: LpdmSpec) -> Subdivision:
     """Cells [R, R u {n}] for every R between the lower bound and the
@@ -152,7 +139,7 @@ def subdivide(m: LpdmSpec) -> Subdivision:
         raise DomainError("only linked (full-dimensional) specs subdivide into cells")
     t_minus = SubsetMask._trusted(m.n, m.upper_mask().bits & ~(1 << m.n - 1))
     cells = tuple(
-        LpdmSpec._trusted(m.ground, r.profile + (0,), tuple(c + 1 for c in r.profile) + (0,))
+        LpdmSpec._from_profiles(m.ground, r.profile + (0,), tuple(c + 1 for c in r.profile) + (0,))
         for r in interval(m.lower_mask(), t_minus)
     )
     return Subdivision(m, cells)

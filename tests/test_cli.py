@@ -251,6 +251,27 @@ def test_cli_import_leaves_selftest_unloaded():
     assert proc.stdout.splitlines() == ["[]", "['lpdm', 'lpdm.cli', 'lpdm.errors']"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matroid", "feasible", '{"n":18,"S":[],"T":[18]}'],  # 2^17 sets: far more than a pipe buffer
+        ["order", "leq", '{"n":3,"S":[1],"T":[2]}'],
+        ["order", "leq", "{"],
+    ],
+)
+def test_a_closed_stdout_ends_without_a_traceback(argv):
+    src = str(Path(lpdm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "lpdm.cli", *argv]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()  # the reader is gone before the envelope is written
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert "lpdm:" in err and " ms" in err
+
+
 def _imported(src, code, *args):
     """``sys.modules`` of a new interpreter as it exits after running
     ``code`` with ``args`` (so an ``importlib`` import counts as well);

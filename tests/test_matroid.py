@@ -327,6 +327,8 @@ def test_relabel():
         relabel(m, (1, 1, 2))
     with pytest.raises(ArgumentError):
         relabel(m, (1, 2))
+    with pytest.raises(ArgumentError, match="must be integers"):  # checked before any label is hashed
+        relabel(m, ([10], 20, 30))
 
 
 def test_homogeneous_component_worked():

@@ -17,8 +17,14 @@ from lpdm import (
     SetFamily,
     Subdivision,
     SubsetMask,
+    all_permutations,
+    chain_to_permutation,
     face,
     hrep,
+    path_from_subset,
+    permutation_to_chain,
+    perms_with_descent_set,
+    simplex_cell,
     subdivide,
     triangulate_toric,
 )
@@ -147,7 +153,7 @@ def test_equality_needs_the_same_class():
 
 def test_trusted_spec_equals_the_validated_one():
     checked = LpdmSpec((1, 2, 3, 4), frozenset({1}), frozenset({2, 4}))
-    trusted = LpdmSpec._trusted((1, 2, 3, 4), (1, 0, 0, 0, 0), (2, 2, 1, 1, 0))
+    trusted = LpdmSpec._from_profiles((1, 2, 3, 4), (1, 0, 0, 0, 0), (2, 2, 1, 1, 0))
     assert trusted == checked and checked == trusted
     assert hash(trusted) == hash(checked)
     assert repr(trusted) == repr(checked) == SAMPLES["LpdmSpec"][1]
@@ -155,7 +161,7 @@ def test_trusted_spec_equals_the_validated_one():
     assert trusted.lower_mask() is not checked.lower_mask()
     assert "_lower_mask" not in repr(checked) and "_upper_mask" not in repr(checked)
     assert trusted.lower_mask().profile == checked.lower_mask().profile == (1, 0, 0, 0)
-    assert trusted != LpdmSpec._trusted((1, 2, 3, 4), (1, 0, 0, 0, 0), (2, 1, 1, 1, 0))
+    assert trusted != LpdmSpec._from_profiles((1, 2, 3, 4), (1, 0, 0, 0, 0), (2, 1, 1, 1, 0))
 
 
 def test_cached_properties_on_frozen_instances():
@@ -165,3 +171,32 @@ def test_cached_properties_on_frozen_instances():
     assert mask == SubsetMask(4, frozenset({2, 4}))
     fam = SetFamily((1, 2), ((), (1,)))
     assert (1,) in fam and (2,) not in fam
+
+
+def test_internal_builders_skip_the_validating_constructors(monkeypatch):
+    checked = (LatticeSimplex, Permutation, PathWord, HRep)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built through its validating constructor")
+
+    for cls in checked:
+        monkeypatch.setattr(cls, "__init__", refuse)
+    cell = LpdmSpec.of(5, {2}, {2, 5})
+    perms = list(all_permutations(4))
+    cells = [simplex_cell(w) for w in perms]
+    built = triangulate_toric(cell) + perms
+    built += [*perms_with_descent_set(5, {2, 4}), *perms_with_descent_set(0, ())]
+    built += [w.inverse() for w in perms]
+    built += [chain_to_permutation(permutation_to_chain(w, SubsetMask(4, w.descent_set().members))) for w in perms]
+    built += [path_from_subset(s) for s in cells] + [hrep(cell)]
+    monkeypatch.undo()
+
+    def rebuilt(x):
+        """The same value through the public constructor, fields rebuilt first."""
+        return type(x)(*map(rebuilt, x._values())) if type(x) in checked else x
+
+    assert {type(x) for x in built} == set(checked)
+    for x in built:
+        ref = rebuilt(x)
+        assert x == ref and ref == x and hash(x) == hash(ref) and repr(x) == repr(ref)
+    assert all(s == SubsetMask(s.n, s.members) for s in cells)
