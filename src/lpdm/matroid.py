@@ -127,6 +127,10 @@ class LpdmSpec(Frozen):
         return spec
 
     @classmethod
+    def _trusted(cls, *values):
+        raise TypeError("LpdmSpec stores its masks too: build it with LpdmSpec._from_profiles")
+
+    @classmethod
     def of(cls, n: int, lower=(), upper=()) -> "LpdmSpec":
         return cls(tuple(range(1, n + 1)), frozenset(lower), frozenset(upper))
 
@@ -203,6 +207,10 @@ class SetFamily(Frozen):
         fam = object.__new__(cls)
         fam.__dict__.update(ground=ground, _masks=masks)
         return fam
+
+    @classmethod
+    def _trusted(cls, *values):
+        raise TypeError("SetFamily stores its masks, not its members: build it with SetFamily._from_masks")
 
     @cached_property
     def members(self) -> tuple[frozenset[int], ...]:

@@ -16,14 +16,18 @@ point sets so that it can sit on the other side of an equality test.
   a segment between two others, so the criterion is exact there).
 
 Rational input is read once and scaled to integers by the lcm of its
-denominators (``polytope.as_integers``); ``hull_membership`` scales the
-points and x each by its own lcm.  Eliminations and pivots are fraction-free.
+denominators (``polytope.as_integers``); the points and x each keep their
+own lcm.  A point set is read and scaled once per set, not once per query:
+``hull_membership`` and ``is_edge`` both go through its prepared form,
+which holds the scaled points, their box and the signed LP tableau rows.
+Eliminations and pivots are fraction-free.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ArgumentError, DomainError
 from .polytope import HRep, as_integers
@@ -175,27 +179,20 @@ def _reduced(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _lp_feasible(columns: list[list[int]], rhs: list[int]) -> bool:
-    """Is there lambda >= 0 with sum_j lambda_j * columns[j] = rhs?
+def _lp_feasible(rows: list[list[int]], ncols: int) -> bool:
+    """Is there lambda >= 0 with sum_j lambda_j * column_j = rhs?
 
-    Phase-one simplex on the artificial problem, Bland's rule for both
-    the entering and the leaving choice, on an integer tableau.  Each row
-    is kept only up to a positive factor: a pivot cross-multiplies
-    (Edmonds 1967; Bareiss 1968) and divides the row by its gcd.  The
-    phase-one reduced costs are one more such row.  A positive factor
-    changes no sign and, since the ratio test compares b_i * a_l with
-    b_l * a_i, no ratio order, so the pivots are those of the rational
-    tableau.
+    ``rows`` holds one row [coefficients | artificial identity | rhs >= 0]
+    per equation, over ``ncols`` columns, and is pivoted in place: phase
+    one on the artificial problem, Bland's rule for both the entering and
+    the leaving choice.  Each row is kept only up to a positive factor: a
+    pivot cross-multiplies (Edmonds 1967; Bareiss 1968) and divides the
+    row by its gcd.  The phase-one reduced costs are one more such row.  A
+    positive factor changes no sign and, since the ratio test compares
+    b_i * a_l with b_l * a_i, no ratio order, so the pivots are those of
+    the rational tableau.
     """
-    m = len(rhs)
-    ncols = len(columns)
-    # rows are [coefficients | artificial identity | right-hand side]
-    rows = []
-    for i in range(m):
-        row = [col[i] for col in columns]
-        if rhs[i] < 0:
-            row = [-x for x in row]
-        rows.append(row + [int(i == k) for k in range(m)] + [abs(rhs[i])])
+    m = len(rows)
     # reduced costs of sum(artificials) over the all-artificial basis
     cost = [-sum(col) for col in zip(*rows)]
     cost[ncols:-1] = [0] * m
@@ -219,43 +216,84 @@ def _lp_feasible(columns: list[list[int]], rhs: list[int]) -> bool:
             # artificial objective is bounded below by 0, so this cannot
             # happen; guard anyway
             raise AssertionError("unbounded phase-one problem")
-        prow = _reduced(rows[leaving])
-        rows[leaving] = prow
-        piv = prow[entering]
-        for i, row in enumerate(rows):
-            f = row[entering]
-            if i != leaving and f != 0:
-                rows[i] = _reduced([x * piv - f * y for x, y in zip(row, prow)])
-        f = cost[entering]
-        cost = _reduced([x * piv - f * y for x, y in zip(cost, prow)])
+        cost = _pivot(rows, cost, entering, leaving)
         basis[leaving] = entering
     # the objective row's right-hand side is minus the artificial residual
     return cost[-1] == 0
 
 
+def _pivot(rows: list[list[int]], cost: list[int], entering: int, leaving: int) -> list[int]:
+    """One fraction-free pivot on the rows, in place; returns the new cost row."""
+    prow = _reduced(rows[leaving])
+    rows[leaving] = prow
+    piv = prow[entering]
+    for i, row in enumerate(rows):
+        f = row[entering]
+        if i != leaving and f != 0:
+            rows[i] = _reduced([x * piv - f * y for x, y in zip(row, prow)])
+    f = cost[entering]
+    return _reduced([x * piv - f * y for x, y in zip(cost, prow)])
+
+
+class _Hull:
+    """A point set read once for many hull-membership queries, built from
+    ``as_integers`` output: the points' lcm sp and the scaled points.  It
+    keeps the points as a set, their exact box, and each tableau row of the
+    LP's columns (the points, each with a closing sp) twice, as it is and
+    negated, each with the artificial identity row appended."""
+
+    def __init__(self, scale: int, points: list[tuple[int, ...]]) -> None:
+        if not points:
+            raise ArgumentError("empty point set")
+        self.n = n = len(points[0])
+        if any(len(p) != n for p in points):
+            raise ArgumentError("points of mixed dimensions")
+        self.scale, self.points, self._members = scale, points, set(points)
+        self._box = [(min(col), max(col)) for col in zip(*points)]
+        coeffs = [*map(list, zip(*points)), [scale] * len(points)]
+        ident = [[int(i == k) for k in range(n + 1)] for i in range(n + 1)]
+        self._rows = [(c + e, [-x for x in c] + e) for c, e in zip(coeffs, ident)]
+
+    def member(self, nums, den: int) -> bool:
+        """Is the point nums / den (den > 0) in the hull?"""
+        # in lowest terms, den is x's lcm, the scale ``as_integers`` gives x
+        g = math.gcd(den, *nums)
+        sx, xs = (den // g, [c // g for c in nums]) if g > 1 else (den, nums)
+        sp = self.scale
+        # x can equal a point only if its denominators divide the points' lcm
+        if sp % sx == 0 and tuple(c * (sp // sx) for c in xs) in self._members:
+            return True
+        # the exact bounding box, cross-multiplied to the common scale sp * sx,
+        # skips most of the obvious outsiders
+        if any(not lo * sx <= c * sp <= hi * sx for c, (lo, hi) in zip(xs, self._box)):
+            return False
+        # columns at the points' scale, right-hand side at x's: neither changes
+        # a pivot; each row is copied with the sign its right-hand side picks
+        rows = [signed[c < 0] + [abs(c)] for signed, c in zip(self._rows, [*xs, sx])]
+        return _lp_feasible(rows, len(self.points))
+
+    def edge(self, i: int, j: int) -> bool:
+        """Is the midpoint of points i and j outside the hull of the points
+        equal to neither, read at their own lcm?"""
+        u, v = self.points[i], self.points[j]
+        if u == v:
+            raise ArgumentError("need two distinct vertices")
+        rest = [p for p in self.points if p != u and p != v]
+        if not rest:
+            return True
+        g = math.gcd(self.scale, *chain.from_iterable(rest))
+        rest = [tuple(c // g for c in p) for p in rest] if g > 1 else rest
+        return not _Hull(self.scale // g, rest).member([a + b for a, b in zip(u, v)], 2 * self.scale)
+
+
 def hull_membership(points, x) -> bool:
     """Exact test: is x a convex combination of the given points?  The points
     and x are scaled to integers each by its own lcm, so each stays small."""
-    pts = [tuple(p) for p in points]
-    if not pts:
-        raise ArgumentError("empty point set")
-    n = len(pts[0])
-    if any(len(p) != n for p in pts):
-        raise ArgumentError("points of mixed dimensions")
-    xs = tuple(x)
-    if len(xs) != n:
-        raise ArgumentError(f"point has {len(xs)} coordinates, expected {n}")
-    sp, pts = as_integers(pts)
-    sx, (xs,) = as_integers([xs])
-    # x can equal a point only if its denominators divide the points' lcm
-    if sp % sx == 0 and tuple(c * (sp // sx) for c in xs) in pts:
-        return True
-    # the exact bounding box, cross-multiplied to the common scale sp * sx,
-    # skips most of the obvious outsiders
-    if any(not min(col) * sx <= c * sp <= max(col) * sx for c, col in zip(xs, zip(*pts))):
-        return False
-    # columns at the points' scale, right-hand side at x's: neither changes a pivot
-    return _lp_feasible([list(p) + [sp] for p in pts], list(xs) + [sx])
+    hull = _Hull(*as_integers(points))
+    sx, (xs,) = as_integers([x])
+    if len(xs) != hull.n:
+        raise ArgumentError(f"point has {len(xs)} coordinates, expected {hull.n}")
+    return hull.member(xs, sx)
 
 
 def is_edge(points, u, v) -> bool:
@@ -263,19 +301,11 @@ def is_edge(points, u, v) -> bool:
 
     True iff the midpoint of u and v is not in the hull of the other
     points.  Valid whenever no vertex lies in the open segment between
-    two others, which holds for 0/1 polytopes.  The other points go to
-    ``hull_membership`` as given: doubling them instead would reweigh the
-    convexity row against the others and change the phase-one pivots.
+    two others, which holds for 0/1 polytopes.  The set is read and scaled
+    once, and the other points keep their own lcm: doubling them instead
+    would reweigh the convexity row and change the phase-one pivots.
     """
-    points = list(points)
-    scale, pts = as_integers([u, v, *points])
-    ut, vt = pts[0], pts[1]
-    if ut == vt:
-        raise ArgumentError("need two distinct vertices")
-    rest = [p for p, q in zip(points, pts[2:]) if q not in (ut, vt)]
-    if not rest:
-        return True
-    return not hull_membership(rest, tuple(Fraction(a + b, 2 * scale) for a, b in zip(ut, vt)))
+    return _Hull(*as_integers([u, v, *points])).edge(0, 1)
 
 
 def affine_rank(points) -> int:

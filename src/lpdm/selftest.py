@@ -49,6 +49,7 @@ from .oracle import (
     ehrhart_eval,
     ehrhart_table,
     ehrhart_volume,
+    _Hull,
     hull_membership,
     is_edge,
     simplex_volume,
@@ -71,7 +72,7 @@ from .perms import (
     eulerian_number,
     permutation_to_chain,
 )
-from .polytope import Facet, contains, dimension, face, hrep, is_linked, vertex_set
+from .polytope import Facet, as_integers, contains, dimension, face, hrep, is_linked, vertex_set
 from .subsets import (
     SubsetMask,
     all_subsets,
@@ -142,17 +143,19 @@ def _small_subsets(n: int) -> list[SubsetMask]:
     return [SubsetMask(n, s.members) for s in _masks(max(n - 1, 0))]
 
 
-def _rational_points(rng: random.Random, n: int, count: int) -> list[tuple[Fraction, ...]]:
-    pts = []
+def _rational_draws(rng: random.Random, n: int, count: int) -> list[tuple[tuple[int, ...], int]]:
+    """Random points in or near the unit cube, each as (integer numerators,
+    one denominator)."""
+    draws = []
     for _ in range(count):
         denom = rng.choice((2, 3, 4, 6, 12))
-        if rng.random() < 0.5:
-            pt = tuple(Fraction(rng.randint(0, denom), denom) for _ in range(n))
-        else:
-            lo, hi = -((denom + 1) // 2), denom + (denom + 1) // 2
-            pt = tuple(Fraction(rng.randint(lo, hi), denom) for _ in range(n))
-        pts.append(pt)
-    return pts
+        lo, hi = (0, denom) if rng.random() < 0.5 else (-((denom + 1) // 2), denom + (denom + 1) // 2)
+        draws.append((tuple(rng.randint(lo, hi) for _ in range(n)), denom))
+    return draws
+
+
+# the draws repeat a few hundred numerator-denominator pairs: build each Fraction once
+_fraction = lru_cache(maxsize=None)(Fraction)
 
 
 def _random_linked_pairs(n: int, count: int, tag: str) -> list[tuple[SubsetMask, SubsetMask]]:
@@ -564,15 +567,15 @@ def vertex_theorem(cap: int) -> str:
     for m in _specs_upto(min(cap, 4)):
         h = hrep(m)
         verts = vertex_set(m)
+        hull = _Hull(*as_integers(verts))
         rng = _rng(f"vertex:{m.n}:{sorted(m.lower)}:{sorted(m.upper)}")
-        pts = _rational_points(rng, m.n, 200)
-        bary = tuple(Fraction(sum(v[i] for v in verts), len(verts)) for i in range(m.n))
-        pts.append(bary)
-        u = rng.choice(verts)
-        v = rng.choice(verts)
-        pts.append(tuple(Fraction(a + b, 2) for a, b in zip(u, v)))
-        for x in pts:
-            if contains(h, x) != hull_membership(verts, x):
+        draws = _rational_draws(rng, m.n, 200)
+        draws.append((tuple(map(sum, zip(*verts))), len(verts)))  # the barycenter
+        u, v = rng.choice(verts), rng.choice(verts)
+        draws.append((tuple(a + b for a, b in zip(u, v)), 2))
+        for nums, den in draws:
+            x = tuple(_fraction(c, den) for c in nums)
+            if contains(h, x) != hull.member(nums, den):
                 raise CheckFailure(f"membership disagreement at {x} for {m!r}")
             lp_points += 1
     return f"{specs} specs 0/1-exact; {lp_points} rational points agree with the hull"
@@ -616,11 +619,6 @@ def intersection_consistency(cap: int) -> str:
             }
             if r is None:
                 _ok(not both01, f"empty intersection of {m1!r}, {m2!r} has a 0/1 point")
-                for x in _rational_points(rng, n, 20):
-                    _ok(
-                        not (contains(h1, x) and contains(h2, x)),
-                        f"empty intersection of {m1!r}, {m2!r} contains {x}",
-                    )
             else:
                 hx = hrep(r)
                 _ok(
@@ -630,11 +628,11 @@ def intersection_consistency(cap: int) -> str:
                 )
                 got01 = {bits for bits in product((0, 1), repeat=n) if contains(hx, bits)}
                 _ok(got01 == both01, f"0/1 points wrong for the intersection of {m1!r}, {m2!r}")
-                for x in _rational_points(rng, n, 20):
-                    _ok(
-                        contains(hx, x) == (contains(h1, x) and contains(h2, x)),
-                        f"intersection membership wrong at {x}",
-                    )
+            for nums, den in _rational_draws(rng, n, 20):
+                x = tuple(_fraction(c, den) for c in nums)
+                inside = r is not None and contains(hx, x)
+                if inside != (contains(h1, x) and contains(h2, x)):
+                    raise CheckFailure(f"intersection of {m1!r}, {m2!r} wrong at {x}")
             checked += 1
         sample = rng.choice(specs)
         _ok(intersect(sample, sample) == sample, f"self-intersection changed {sample!r}")
@@ -837,9 +835,11 @@ def edge_directions(cap: int) -> str:
     edges = 0
     for m in _specs_upto(hi):
         verts = vertex_set(m)
-        for u, v in combinations(verts, 2):
-            if not is_edge(verts, u, v):
+        hull = _Hull(*as_integers(verts))
+        for i, j in combinations(range(len(verts)), 2):
+            if not hull.edge(i, j):
                 continue
+            u, v = verts[i], verts[j]
             moved = sorted(b - a for a, b in zip(u, v) if a != b)
             if moved not in ([-1], [1], [-1, 1]):
                 raise CheckFailure(f"edge {u} -> {v} of {m!r} uses a forbidden direction")

@@ -50,12 +50,16 @@ class LatticeSimplex(Frozen):
     _fields = ("vertices", "perm")
 
     def __init__(self, vertices: tuple[tuple[int, ...], ...], perm: Permutation | None = None) -> None:
-        verts = tuple(tuple(int(c) for c in v) for v in vertices)
+        verts = tuple(map(tuple, vertices))
         if not verts:
             raise ArgumentError("a simplex needs vertices")
         n = len(verts[0])
         if any(len(v) != n for v in verts) or len(verts) != n + 1:
             raise ArgumentError("need exactly n+1 vertices of equal dimension n")
+        if any(type(c) is not int for v in verts for c in v):
+            raise ArgumentError(f"simplex coordinates must be ints: {verts!r}")
+        if perm is not None and not (type(perm) is Permutation and perm.n == n):
+            raise ArgumentError(f"a simplex in dimension {n} takes a permutation of [{n}], not {perm!r}")
         super().__init__(verts, perm)
 
     @property

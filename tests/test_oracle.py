@@ -20,7 +20,8 @@ from lpdm import (
     simplex_volume,
     vertex_set,
 )
-from lpdm.oracle import count_suffix_box
+from lpdm import oracle
+from lpdm.oracle import _Hull, count_suffix_box
 from lpdm.polytope import as_integers
 
 
@@ -28,8 +29,9 @@ from lpdm.polytope import as_integers
 # elimination that the integer ones replaced, kept as references.
 
 
-def lp_feasible_reference(columns, rhs):
-    """Phase-one simplex with Bland's rule on a Fraction tableau."""
+def lp_feasible_reference(columns, rhs, log=None):
+    """Phase-one simplex with Bland's rule on a Fraction tableau; each
+    (entering, leaving) pivot is appended to ``log`` when one is given."""
     m = len(rhs)
     ncols = len(columns)
     rows, b = [], []
@@ -60,6 +62,8 @@ def lp_feasible_reference(columns, rhs):
                 ratio = b[i] / rows[i][entering]
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
                     best, leaving = ratio, i
+        if log is not None:
+            log.append((entering, leaving))
         piv = rows[leaving][entering]
         rows[leaving] = [x / piv for x in rows[leaving]]
         b[leaving] /= piv
@@ -78,6 +82,33 @@ def hull_membership_reference(points, x):
     if xs in pts:
         return True
     return lp_feasible_reference([list(p) + [1] for p in pts], list(xs) + [1])
+
+
+def lp_tableau_from_columns(columns, rhs):
+    """The integer tableau [coefficients | artificial identity | |rhs|] built
+    straight from the columns and the right-hand side, one row per
+    equation, negated where the right-hand side is negative."""
+    m = len(rhs)
+    rows = []
+    for i in range(m):
+        row = [col[i] for col in columns]
+        if rhs[i] < 0:
+            row = [-x for x in row]
+        rows.append(row + [int(i == k) for k in range(m)] + [abs(rhs[i])])
+    return rows
+
+
+def lp_steps_reference(points, x):
+    """Membership read the per-call way: the points and x each scaled by its
+    own lcm, the exact-hit and box shortcuts, then the integer LP on a
+    tableau built from the columns.  Returns (answer, tableau or None)."""
+    sp, pts = as_integers(points)
+    sx, (xs,) = as_integers([x])
+    if sp % sx == 0 and tuple(c * (sp // sx) for c in xs) in pts:
+        return True, None
+    if any(not min(col) * sx <= c * sp <= max(col) * sx for c, col in zip(xs, zip(*pts))):
+        return False, None
+    return None, lp_tableau_from_columns([list(p) + [sp] for p in pts], list(xs) + [sx])
 
 
 def affine_rank_reference(points):
@@ -216,6 +247,121 @@ def test_hull_membership_single_point_and_mixed_inputs():
     assert not hull_membership(seg, (0.5, 0.25))
     with pytest.raises(ArgumentError, match="point has 3 coordinates, expected 2"):
         hull_membership(seg, (0, 0, 0))
+
+
+def draw_nums(rng, n):
+    """A rational point near [-2, 2]^n as (numerators, one denominator),
+    often not in lowest terms."""
+    d = rng.choice((1, 2, 3, 4, 6, 12)) * rng.choice((1, 1, 2, 5))
+    return [rng.randint(-2 * d, 2 * d) for _ in range(n)], d
+
+
+def test_prepared_hull_matches_the_fraction_tableau():
+    rng = random.Random(20261019)
+    inside = 0
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        pts = random_cloud(rng, n)
+        hull = _Hull(*as_integers(pts))
+        for _ in range(6):
+            nums, den = draw_nums(rng, n)
+            if rng.random() < 0.3:  # a convex combination, scaled up by k
+                w = [rng.randint(0, 3) for _ in pts]
+                w[0] += 1
+                x = [sum(wi * p[i] for wi, p in zip(w, pts)) / sum(w) for i in range(n)]
+                k = math.lcm(*(c.denominator for c in x)) * rng.choice((1, 3))
+                nums, den = [int(c * k) for c in x], k
+            want = hull_membership_reference(pts, [Fraction(c, den) for c in nums])
+            assert hull.member(nums, den) == want, (pts, nums, den)
+            inside += want
+    assert 150 < inside < 450  # both answers are well represented
+
+
+def lcm_dropping_clouds(rng, count):
+    """Point sets, every other one with two added points whose denominators
+    carry a 5 or a 7, so that dropping those two lowers the lcm."""
+    for trial in range(count):
+        n = rng.randint(1, 4)
+        pts = random_cloud(rng, n)
+        if trial % 2:
+            d = rng.choice((5, 7, 10, 14))
+            pts += [tuple(Fraction(rng.randint(-2 * d, 2 * d), d) for _ in range(n)) for _ in range(2)]
+            rng.shuffle(pts)
+        yield pts
+
+
+def test_dropping_a_pair_equals_is_edge_on_the_original_list():
+    rng = random.Random(99)
+    changed = 0
+    for pts in lcm_dropping_clouds(rng, 30):
+        scaled = as_integers(pts)
+        hull = _Hull(*scaled)
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                u, v = pts[i], pts[j]
+                if scaled[1][i] == scaled[1][j]:
+                    with pytest.raises(ArgumentError):
+                        hull.edge(i, j)
+                    continue
+                rest = [p for p, q in zip(pts, scaled[1]) if q not in (scaled[1][i], scaled[1][j])]
+                mid = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(u, v)]
+                want = not rest or not hull_membership_reference(rest, mid)
+                assert hull.edge(i, j) == is_edge(pts, u, v) == want, (pts, i, j)
+                changed += bool(rest) and as_integers(rest)[0] != scaled[0]
+    assert changed > 60, changed
+
+
+def test_pivots_and_rows_are_those_of_the_tableau_built_from_columns(monkeypatch):
+    """Each LP the prepared hull solves pivots as the tableau built from the
+    columns at the points' own lcm does, row for row; the pivots are also
+    those of the Fraction tableau."""
+    logs = []  # one ([(entering, leaving), ...], [reduced row, ...]) per LP solved
+    lp, pivot, reduce = oracle._lp_feasible, oracle._pivot, oracle._reduced
+
+    def logged_lp(rows, ncols):
+        logs.append(([], []))
+        return lp(rows, ncols)
+
+    def logged_pivot(rows, cost, entering, leaving):
+        logs[-1][0].append((entering, leaving))
+        return pivot(rows, cost, entering, leaving)
+
+    def logged_reduced(row):
+        out = reduce(row)
+        logs[-1][1].append(list(out))
+        return out
+
+    monkeypatch.setattr(oracle, "_lp_feasible", logged_lp)
+    monkeypatch.setattr(oracle, "_pivot", logged_pivot)
+    monkeypatch.setattr(oracle, "_reduced", logged_reduced)
+    rng = random.Random(4)
+    solved = 0
+    for pts in lcm_dropping_clouds(rng, 100):
+        n = len(pts[0])
+        queries = [(pts, [Fraction(c, d) for c in nums]) for nums, d in (draw_nums(rng, n) for _ in range(3))]
+        scaled = as_integers(pts)[1]
+        j = next((k for k, q in enumerate(scaled) if q != scaled[0]), None)
+        if j is not None:  # the midpoint of points 0 and j against the rest, as is_edge asks it
+            rest = [p for p, q in zip(pts, scaled) if q not in (scaled[0], scaled[j])]
+            if rest:
+                queries.append((rest, [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(pts[0], pts[j])]))
+        for points, x in queries:
+            answer, tableau = lp_steps_reference(points, x)
+            before = len(logs)
+            got = hull_membership(points, x) if points is pts else not is_edge(pts, pts[0], pts[j])
+            assert got == hull_membership_reference(points, x)
+            if tableau is None:
+                assert len(logs) == before and got == answer
+                continue
+            oracle._lp_feasible(tableau, len(points))
+            assert len(logs) == before + 2 and logs[-2] == logs[-1]
+            fraction_pivots = []
+            sp, scaled_pts = as_integers(points)
+            sx, (xs,) = as_integers([x])
+            lp_feasible_reference([list(p) + [sp] for p in scaled_pts], list(xs) + [sx], fraction_pivots)
+            assert logs[-1][0] == fraction_pivots
+            solved += 1
+    assert solved > 100, solved
 
 
 def test_is_edge_square():

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from lpdm import ArgumentError
@@ -59,3 +62,28 @@ def test_seeded_rng_is_stable():
     b = st._rng("unit")
     assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
     assert st._rng("other").random() != st._rng("unit").random()
+
+
+def rational_points_reference(rng, n, count):
+    """The Fraction drawer the selftest used before it drew integer
+    numerators over one denominator."""
+    pts = []
+    for _ in range(count):
+        denom = rng.choice((2, 3, 4, 6, 12))
+        if rng.random() < 0.5:
+            pt = tuple(Fraction(rng.randint(0, denom), denom) for _ in range(n))
+        else:
+            lo, hi = -((denom + 1) // 2), denom + (denom + 1) // 2
+            pt = tuple(Fraction(rng.randint(lo, hi), denom) for _ in range(n))
+        pts.append(pt)
+    return pts
+
+
+def test_rational_draws_reproduce_the_fraction_drawer():
+    for n in range(7):
+        for seed in range(8):
+            a, b = random.Random(f"draw:{n}:{seed}"), random.Random(f"draw:{n}:{seed}")
+            count = 1 + 37 * seed
+            got = [tuple(Fraction(c, den) for c in nums) for nums, den in st._rational_draws(a, n, count)]
+            assert got == rational_points_reference(b, n, count)
+            assert a.getstate() == b.getstate()  # the same rng calls, so later draws match too

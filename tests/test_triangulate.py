@@ -39,6 +39,18 @@ def test_lattice_simplex_validates():
     assert simp.barycenter() == (Fraction(1, 3), Fraction(1, 3))
 
 
+def test_lattice_simplex_rejects_what_int_would_coerce():
+    # each of these used to be read through int() into ((0, 0), (1, 0), (0, 1))
+    for verts in (((0, 0), (1.7, 0), (0, True)), (("0", "0"), ("1", "0"), ("0", "1")), ((0, 0), (1, 0), (0, True))):
+        with pytest.raises(ArgumentError, match="must be ints"):
+            LatticeSimplex(verts)
+    square = ((0, 0), (1, 0), (1, 1))
+    assert LatticeSimplex(square, Permutation((2, 1))).perm == Permutation((2, 1))
+    for perm in (Permutation((1, 2, 3)), (2, 1), Permutation(())):
+        with pytest.raises(ArgumentError, match="permutation of \\[2\\]"):
+            LatticeSimplex(square, perm)
+
+
 def test_eulerian_simplex_worked():
     simp = eulerian_simplex(Permutation((1, 3, 2)))
     assert simp.vertices == ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1))

@@ -164,6 +164,15 @@ def test_trusted_spec_equals_the_validated_one():
     assert trusted != LpdmSpec._from_profiles((1, 2, 3, 4), (1, 0, 0, 0, 0), (2, 1, 1, 1, 0))
 
 
+def test_classes_with_more_state_than_fields_refuse_the_generic_store():
+    # a spec keeps its masks and a family its bitmasks besides their fields
+    with pytest.raises(TypeError, match="LpdmSpec._from_profiles"):
+        LpdmSpec._trusted((1, 2, 3, 4), frozenset({1}), frozenset({2, 4}))
+    with pytest.raises(TypeError, match="SetFamily._from_masks"):
+        SetFamily._trusted((1, 2), (frozenset(), frozenset({1})))
+    assert SetFamily._from_masks((1, 2), (0, 1)) == SetFamily((1, 2), ((), (1,)))
+
+
 def test_cached_properties_on_frozen_instances():
     mask = SubsetMask._trusted(4, 0b1010)
     assert "profile" not in vars(mask)
