@@ -42,10 +42,11 @@ class UsageError(Exception):
 
 
 class Frozen:
-    """Base of the package's immutable value classes.  A subclass names its
-    fields in ``_fields``, and ``__init__`` stores them, in order, through
-    ``__dict__`` (as ``functools.cached_property`` does).  Instances of one
-    class are equal when their fields are and hash as their field tuple.
+    """Base of the package's immutable value classes.  A subclass names
+    in ``_fields`` exactly what an instance stores, and ``__init__``
+    stores them, in order, through ``__dict__``; any other attribute is a
+    ``functools.cached_property`` view of them.  Instances of one class
+    are equal when their fields are and hash as their field tuple.
 
     The rule: a public constructor checks, ``_trusted`` stores.  A class
     that takes outside input checks it in its own ``__init__`` and then

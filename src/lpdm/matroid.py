@@ -37,12 +37,12 @@ sets of one size, the Gale order is the elementwise order of their
 sorted tuples.
 
 One int encoding serves subsets and families: bit i - 1 stands for
-ground position i.  A spec's bounds are ``SubsetMask`` bits, and a
-``SetFamily`` holds its members as such ints, as
-``subsets._completions`` builds them.  Counting, membership, the
-exchange axiom, projection, the interval bounds and the JSON lists all
-work on the masks; the frozenset ``members`` are decoded only when
-first read.
+ground position i.  A spec stores its bounds as ``SubsetMask``s and a
+``SetFamily`` its members as such ints.  Equality, hashing, counting,
+membership, the exchange axiom, projection, the interval bounds and the
+JSON lists all work on the masks; the label sets ``lower``, ``upper``
+and ``members`` are decoded only when first read.  Derived specs and
+families are built from masks through ``_trusted``, checked no further.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ __all__ = [
 
 
 def _check_ground(ground: tuple[int, ...]) -> None:
-    if any(not isinstance(g, int) for g in ground):
+    if any(type(g) is not int for g in ground):
         raise ArgumentError(f"ground labels must be integers: {ground!r}")
     if len(set(ground)) != len(ground):
         raise ArgumentError(f"ground labels must be distinct: {ground!r}")
@@ -89,11 +89,11 @@ def _check_ground(ground: tuple[int, ...]) -> None:
 class LpdmSpec(Frozen):
     """The delta matroid with feasible sets the Gale interval [lower, upper].
 
-    The bounds are label sets; their positional masks are computed once,
-    on construction, and take no part in equality or hashing.
+    A spec stores its ground and its two bounds as positional masks; the
+    label sets ``lower`` and ``upper`` are decoded on first read.
     """
 
-    _fields = ("ground", "lower", "upper")
+    _fields = ("ground", "_lower_mask", "_upper_mask")
 
     def __init__(self, ground: tuple[int, ...], lower: frozenset[int], upper: frozenset[int]) -> None:
         ground = tuple(ground)
@@ -101,14 +101,15 @@ class LpdmSpec(Frozen):
         lower, upper = frozenset(lower), frozenset(upper)
         masks = []
         for side in (lower, upper):
+            if any(type(x) is not int for x in side):
+                raise ArgumentError(f"bound labels must be integers: {tuple(side)!r}")
             bits = sum(1 << i for i, g in enumerate(ground) if g in side)
             if bits.bit_count() != len(side):  # a label outside the (distinct) ground sets no bit
                 raise ArgumentError(f"bound {sorted(side)!r} is not within the ground {ground!r}")
             masks.append(SubsetMask._trusted(len(ground), bits))
-        lower_mask, upper_mask = masks
-        if not gale_leq(lower_mask, upper_mask):
+        if not gale_leq(*masks):
             raise OrderError(f"lower bound {sorted(lower)!r} is not below {sorted(upper)!r}")
-        self.__dict__.update(ground=ground, lower=lower, upper=upper, _lower_mask=lower_mask, _upper_mask=upper_mask)
+        super().__init__(ground, *masks)
 
     @classmethod
     def _from_profiles(cls, ground: tuple[int, ...], low, high) -> "LpdmSpec":
@@ -116,19 +117,10 @@ class LpdmSpec(Frozen):
         profiles, each with a closing 0, that are valid and ordered:
         nothing is checked, and the masks start with their profiles."""
         k = len(ground)
-        spec = object.__new__(cls)
-        for name, prof in (("lower", low), ("upper", high)):
-            picked = [j for j in range(k) if prof[j] > prof[j + 1]]
-            mask = SubsetMask._trusted(k, sum(1 << j for j in picked))
-            mask.__dict__["profile"] = tuple(prof[:k])
-            spec.__dict__[name] = frozenset(ground[j] for j in picked)
-            spec.__dict__[f"_{name}_mask"] = mask
-        spec.__dict__["ground"] = ground
-        return spec
-
-    @classmethod
-    def _trusted(cls, *values):
-        raise TypeError("LpdmSpec stores its masks too: build it with LpdmSpec._from_profiles")
+        masks = [SubsetMask._trusted(k, sum(1 << j for j in range(k) if p[j] > p[j + 1])) for p in (low, high)]
+        for mask, p in zip(masks, (low, high)):
+            mask.__dict__["profile"] = tuple(p[:k])
+        return cls._trusted(ground, *masks)
 
     @classmethod
     def of(cls, n: int, lower=(), upper=()) -> "LpdmSpec":
@@ -147,6 +139,14 @@ class LpdmSpec(Frozen):
     def labels(self, positions) -> frozenset[int]:
         return frozenset(self.ground[p - 1] for p in positions)
 
+    @cached_property
+    def lower(self) -> frozenset[int]:
+        return self.labels(self._lower_mask.as_tuple())
+
+    @cached_property
+    def upper(self) -> frozenset[int]:
+        return self.labels(self._upper_mask.as_tuple())
+
     def lower_mask(self) -> SubsetMask:
         return self._lower_mask
 
@@ -156,14 +156,8 @@ class LpdmSpec(Frozen):
     def standard_ground(self) -> bool:
         return self.ground == tuple(range(1, self.n + 1))
 
-    # specs are dict keys and set members on the hot paths: compare the fields directly
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ground, self.lower, self.upper) == (other.ground, other.lower, other.upper)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.lower, self.upper))
+    def __repr__(self) -> str:
+        return f"LpdmSpec(ground={self.ground!r}, lower={self.lower!r}, upper={self.upper!r})"
 
 
 def _canonical(masks, n: int) -> tuple[int, ...]:
@@ -178,14 +172,14 @@ class SetFamily(Frozen):
     """A finite family of subsets of a labelled ground, kept in the
     canonical order (by size, then by ground position).
 
-    Each member is held as an int bitmask over ground positions (bit
-    i - 1 for position i).  Length, membership, equality between two
-    families, the exchange axiom and the JSON writer read the masks;
-    the frozenset ``members`` are decoded on first read and kept, and
-    ``hash`` and ``repr`` go through them.
+    A family stores its ground and each member as an int bitmask over
+    ground positions (bit i - 1 for position i).  Length, membership,
+    equality, hashing, the exchange axiom and the JSON writer read the
+    masks; the frozenset ``members`` are decoded on first read and kept,
+    and ``repr`` goes through them.
     """
 
-    _fields = ("ground", "members")
+    _fields = ("ground", "_masks")
 
     def __init__(self, ground: tuple[int, ...], members: tuple[frozenset[int], ...]) -> None:
         ground = tuple(ground)
@@ -197,20 +191,7 @@ class SetFamily(Frozen):
             if not fs <= bit.keys():
                 raise ArgumentError(f"member {sorted(fs)!r} is not within the ground {ground!r}")
             masks.append(sum(bit[x] for x in fs))
-        self.__dict__.update(ground=ground, _masks=_canonical(masks, len(ground)))
-
-    @classmethod
-    def _from_masks(cls, ground: tuple[int, ...], masks: tuple[int, ...]) -> "SetFamily":
-        """A family built inside the package from distinct bitmasks over a
-        checked ground, already in canonical order: nothing is checked or
-        sorted."""
-        fam = object.__new__(cls)
-        fam.__dict__.update(ground=ground, _masks=masks)
-        return fam
-
-    @classmethod
-    def _trusted(cls, *values):
-        raise TypeError("SetFamily stores its masks, not its members: build it with SetFamily._from_masks")
+        super().__init__(ground, _canonical(masks, len(ground)))
 
     @cached_property
     def members(self) -> tuple[frozenset[int], ...]:
@@ -231,13 +212,8 @@ class SetFamily(Frozen):
         bit, fs = self._bit, frozenset(fs)
         return fs <= bit.keys() and sum(bit[x] for x in fs) in self._mask_set
 
-    # two families over one ground are equal when their masks are
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ground, self._masks) == (other.ground, other._masks)
-        return NotImplemented
-
-    __hash__ = Frozen.__hash__
+    def __repr__(self) -> str:
+        return f"SetFamily(ground={self.ground!r}, members={self.members!r})"
 
     def sorted_member_lists(self) -> list[list[int]]:
         return list(map(list, _decode(self._masks, self.ground, tuple)))
@@ -246,7 +222,7 @@ class SetFamily(Frozen):
 def feasible_sets(m: LpdmSpec) -> SetFamily:
     """Enumerate the Gale interval [lower, upper] as bitmasks over the
     ground, in canonical order."""
-    return SetFamily._from_masks(m.ground, _completions(m.lower_mask().profile, m.upper_mask().profile))
+    return SetFamily._trusted(m.ground, _completions(m.lower_mask().profile, m.upper_mask().profile))
 
 
 def exchange_witness(family: SetFamily):
@@ -314,8 +290,9 @@ def classify_elements(m: LpdmSpec) -> tuple[frozenset[int], frozenset[int]]:
 
 def dual(m: LpdmSpec) -> LpdmSpec:
     """Complement every feasible set: the interval [G - T, G - S]."""
-    g = frozenset(m.ground)
-    return LpdmSpec(m.ground, g - m.upper, g - m.lower)
+    full = (1 << m.n) - 1
+    lo, hi = (SubsetMask._trusted(m.n, full ^ x.bits) for x in (m.upper_mask(), m.lower_mask()))
+    return LpdmSpec._trusted(m.ground, lo, hi)
 
 
 def _box_spec(ground: tuple[int, ...], lo, hi):
@@ -375,7 +352,10 @@ def direct_sum(m1: LpdmSpec, m2: LpdmSpec) -> LpdmSpec:
         raise ArgumentError(
             f"grounds overlap: {sorted(set(m1.ground) & set(m2.ground))!r}"
         )
-    return LpdmSpec(m1.ground + m2.ground, m1.lower | m2.lower, m1.upper | m2.upper)
+    n1, n = m1.n, m1.n + m2.n
+    lo = SubsetMask._trusted(n, m1.lower_mask().bits | m2.lower_mask().bits << n1)
+    hi = SubsetMask._trusted(n, m1.upper_mask().bits | m2.upper_mask().bits << n1)
+    return LpdmSpec._trusted(m1.ground + m2.ground, lo, hi)
 
 
 def relabel(m: LpdmSpec, new_ground) -> LpdmSpec:
@@ -383,12 +363,8 @@ def relabel(m: LpdmSpec, new_ground) -> LpdmSpec:
     new_ground = tuple(new_ground)
     if len(new_ground) != m.n:
         raise ArgumentError(f"new ground has {len(new_ground)} labels, expected {m.n}")
-    mapping = dict(zip(m.ground, new_ground))
-    return LpdmSpec(
-        new_ground,
-        (mapping[x] for x in m.lower),
-        (mapping[x] for x in m.upper),
-    )
+    _check_ground(new_ground)
+    return LpdmSpec._trusted(new_ground, m.lower_mask(), m.upper_mask())
 
 
 def intersect(m1: LpdmSpec, m2: LpdmSpec):
@@ -467,7 +443,7 @@ def project_element(family: SetFamily, label: int) -> SetFamily:
     # the bits above p move down one place
     masks = [x & below | x >> 1 & ~below for x in family._masks]
     new_ground = family.ground[:p] + family.ground[p + 1 :]
-    return SetFamily._from_masks(new_ground, _canonical(masks, len(new_ground)))
+    return SetFamily._trusted(new_ground, _canonical(masks, len(new_ground)))
 
 
 def family_interval_bounds(family: SetFamily):

@@ -38,7 +38,7 @@ class Permutation(Frozen):
 
     def __init__(self, images: tuple[int, ...]) -> None:
         images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
+        if any(type(v) is not int for v in images) or sorted(images) != list(range(1, len(images) + 1)):
             raise ArgumentError(f"{images!r} is not a permutation of [n]")
         super().__init__(images)
 

@@ -20,7 +20,7 @@ from itertools import chain
 
 from .errors import ArgumentError, DomainError, Frozen
 from .matroid import LpdmSpec, SetFamily, _box_spec, _minor
-from .subsets import _completions, _decode, is_valid_profile
+from .subsets import SubsetMask, _completions, _decode, is_valid_profile
 
 __all__ = [
     "Facet",
@@ -184,14 +184,14 @@ def face(m: LpdmSpec, facet: Facet) -> FaceResult:
         kind = f"suffix-{facet.level}"
 
     masks = _completions(a, b, fix)
-    family = SetFamily._from_masks(m.ground, masks)
+    family = SetFamily._trusted(m.ground, masks)
     if not masks:
         return FaceResult(family, None, kind)
 
     label = m.ground[i - 1]
     if facet.kind == "coordinate":
-        point = frozenset({label}) if facet.level else frozenset()
-        factors = (LpdmSpec((label,), point, point), _minor(m, label, facet.level))
+        point = SubsetMask._trusted(1, 1 if facet.level else 0)
+        factors = (LpdmSpec._trusted((label,), point, point), _minor(m, label, facet.level))
     else:
         below = _box_spec(m.ground[: i - 1], [x - target for x in a[: i - 1]], [y - target for y in b[: i - 1]])
         factors = (below, _box_spec(m.ground[i - 1 :], a[i - 1 :], b[i - 1 :]))

@@ -49,6 +49,18 @@ def test_spec_validates():
         LpdmSpec((1, 1, 2), frozenset(), frozenset())
     with pytest.raises(OrderError):
         LpdmSpec.of(3, lower={1, 2}, upper={3})
+    # labels equal to a ground label but not of type int are refused, not kept
+    for ground, lower, upper in [
+        ((1, 2, 3), {1.0}, {2, 3}),
+        ((1, 2, 3), {1}, {True, 3}),
+        ((1, 2, 3), (), {"3"}),
+        ((1, True, 3), (), {3}),
+        ((1, 2.0, 3), (), {3}),
+    ]:
+        with pytest.raises(ArgumentError, match="labels must be integers"):
+            LpdmSpec(ground, lower, upper)
+    with pytest.raises(ArgumentError, match="labels must be integers"):
+        relabel(LpdmSpec.of(2), (1, False))
     m = LpdmSpec.of(3, {1}, {1, 3})
     assert m.n == 3 and m.standard_ground()
     assert m.position(3) == 3
@@ -554,6 +566,11 @@ def test_reading_the_masks_leaves_members_undecoded():
     assert lower | upper <= set(proj.ground)
     facet = face(m, Facet("coordinate", 2, 1)).family
     assert len(facet) and exchange_witness(facet) is None
+    # equality and hashing read the masks too, of families and of specs
+    assert fam == feasible_sets(m) and hash(fam) == hash(feasible_sets(m))
+    spec = dual(relabel(m, range(6)))
+    assert spec == dual(relabel(m, range(6))) and hash(spec) == hash(dual(relabel(m, range(6))))
+    assert "lower" not in vars(spec) and "upper" not in vars(spec)
     for family in (fam, proj, facet):
         assert "members" not in vars(family)
     assert fam.members == tuple(map(frozenset, lists)) and vars(fam)["members"] is fam.members

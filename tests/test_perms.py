@@ -54,6 +54,10 @@ def test_permutation_validates():
         Permutation((1, 1))
     with pytest.raises(ArgumentError):
         Permutation((0, 1))
+    # images equal to 1..n but not of type int are refused
+    for images in [(2.0, True), (1.0,), (2, True), ("1",)]:
+        with pytest.raises(ArgumentError):
+            Permutation(images)
 
 
 def test_identity_and_inverse():
