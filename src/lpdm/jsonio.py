@@ -171,7 +171,7 @@ def facet_from_json(obj) -> Facet:
     index = parse_int(obj, "i")
     if kind == "coordinate":
         level = obj.get("value")
-        if level not in (0, 1) or isinstance(level, bool):
+        if type(level) is not int or level not in (0, 1):
             raise UsageError("coordinate facet needs 'value' 0 or 1")
     else:
         level = obj.get("side")

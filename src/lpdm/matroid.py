@@ -188,6 +188,8 @@ class SetFamily(Frozen):
         masks = []
         for m in members:
             fs = frozenset(m)
+            if any(type(x) is not int for x in fs):
+                raise ArgumentError(f"member labels must be integers: {tuple(fs)!r}")
             if not fs <= bit.keys():
                 raise ArgumentError(f"member {sorted(fs)!r} is not within the ground {ground!r}")
             masks.append(sum(bit[x] for x in fs))

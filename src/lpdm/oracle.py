@@ -3,21 +3,22 @@
 Nothing in this module knows how the rest of the package computes
 volumes or vertices; it works straight from half-space data and raw
 point sets so that it can sit on the other side of an equality test.
+Importing it loads no other module of the package but ``lpdm.errors``.
 
 * ``count_lattice_points`` -- dynamic program over suffix sums for the
   dilated polytope; exact integers.
 * ``ehrhart_volume``       -- leading coefficient of the counting
   polynomial via n-th finite differences.
-* ``simplex_volume``       -- |det| / n! from vertex coordinates.
+* ``simplex_volume``       -- |det| / n! from rational vertex coordinates.
 * ``hull_membership``      -- integer-tableau phase-one simplex method
   with Bland's rule; decides x in conv(V) exactly.
 * ``is_edge``              -- midpoint criterion for adjacency of two
   vertices of a 0/1 polytope (no vertex of such a polytope lies inside
   a segment between two others, so the criterion is exact there).
 
-Rational input is read once and scaled to integers by the lcm of its
-denominators (``polytope.as_integers``); the points and x each keep their
-own lcm.  A point set is read and scaled once per set, not once per query:
+Every point is read by ``as_integers``, once, and scaled to integers by
+the lcm of its set's denominators; the points and x each keep their own
+lcm.  A point set is read and scaled once per set, not once per query:
 ``hull_membership`` and ``is_edge`` both go through its prepared form,
 which holds the scaled points, their box and the signed LP tableau rows.
 Eliminations and pivots are fraction-free.
@@ -28,9 +29,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
+from typing import TYPE_CHECKING
 
 from .errors import ArgumentError, DomainError
-from .polytope import HRep, as_integers
+
+if TYPE_CHECKING:
+    from .polytope import HRep
 
 __all__ = [
     "affine_rank",
@@ -43,6 +47,21 @@ __all__ = [
     "is_edge",
     "simplex_volume",
 ]
+
+
+def as_integers(points) -> tuple[int, list[tuple[int, ...]]]:
+    """Rational points scaled to integers: (scale, scaled points).
+
+    Each coordinate is read as an exact rational (an ``int`` or a
+    ``Fraction`` as it is, anything else through ``Fraction``), and every
+    point is multiplied by the lcm of all the denominators.
+    """
+    pts = [tuple(p) for p in points]
+    if set(map(type, chain.from_iterable(pts))) <= {int}:
+        return 1, pts
+    pts = [tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in p) for p in pts]
+    scale = math.lcm(*(c.denominator for c in chain.from_iterable(pts)))
+    return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in pts]
 
 
 def count_suffix_box(lower, upper, t: int) -> int:
@@ -79,11 +98,9 @@ def count_lattice_points(h: HRep, t: int) -> int:
     )
 
 
-def ehrhart_table(h: HRep, tmax: int | None = None) -> tuple[int, ...]:
-    """Lattice-point counts of the dilates t = 0, 1, ..., tmax (default n)."""
-    if tmax is None:
-        tmax = h.n
-    return tuple(count_lattice_points(h, t) for t in range(tmax + 1))
+def ehrhart_table(h: HRep) -> tuple[int, ...]:
+    """Lattice-point counts of the dilates t = 0, 1, ..., n."""
+    return tuple(count_lattice_points(h, t) for t in range(h.n + 1))
 
 
 def _forward_differences(counts) -> list[int]:
@@ -149,28 +166,20 @@ def _eliminate(m: list[list[int]]) -> tuple[int, int]:
     return r, sign
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix."""
-    m = [row[:] for row in rows]
-    if not m:
-        return 1
-    rank, sign = _eliminate(m)
-    return sign * m[-1][-1] if rank == len(m) else 0
-
-
 def simplex_volume(vertices) -> Fraction:
-    """Euclidean volume of the simplex on n+1 integer vertices in R^n."""
-    verts = [tuple(v) for v in vertices]
+    """Euclidean volume of the simplex on n+1 rational vertices in R^n:
+    the determinant of the edges at the scaled vertices, over scale^n n!."""
+    scale, verts = as_integers(vertices)
     if not verts:
         raise ArgumentError("no vertices")
     n = len(verts[0])
     if len(verts) != n + 1 or any(len(v) != n for v in verts):
         raise ArgumentError("need exactly n+1 vertices of dimension n")
-    rows = [[int(x - y) for x, y in zip(v, verts[0])] for v in verts[1:]]
-    det = _int_det(rows)
-    if det == 0:
+    m = [[x - y for x, y in zip(v, verts[0])] for v in verts[1:]]
+    rank, _ = _eliminate(m)
+    if rank < n:
         raise DomainError("degenerate simplex (affinely dependent vertices)")
-    return Fraction(abs(det), math.factorial(n))
+    return Fraction(abs(m[-1][-1]) if m else 1, scale**n * math.factorial(n))
 
 
 def _reduced(row: list[int]) -> list[int]:

@@ -74,35 +74,9 @@ def path_from_subset(s: SubsetMask) -> PathWord:
     return PathWord._trusted(first + second)
 
 
-def path_leq(p: PathWord, q: PathWord) -> bool:
-    """Dominance: every suffix of p has at most as many E steps as the
-    same suffix of q (p stays weakly below q)."""
-    if len(p.steps) != len(q.steps):
-        raise ArgumentError("paths have different lengths")
-    ep = en = 0
-    for cp, cq in zip(reversed(p.steps), reversed(q.steps)):
-        ep += cp == "E"
-        en += cq == "E"
-        if ep > en:
-            return False
-    return True
-
-
-def column_heights(p: PathWord) -> tuple[int, ...]:
-    """Height of the path over each unit column: the number of N steps
-    taken before the (c+1)-th E step, for c = 0, ..., n-1."""
-    heights = []
-    seen_n = 0
-    for c in p.steps:
-        if c == "E":
-            heights.append(seen_n)
-        else:
-            seen_n += 1
-    return tuple(heights)
-
-
 def path_points(p: PathWord) -> list[tuple[int, int]]:
-    """The lattice points visited, from (0, 0) to (n, n)."""
+    """The lattice points visited, from (0, 0) to (n, n): the one walk
+    over a step word, which the other path readers read."""
     pts = [(0, 0)]
     x = y = 0
     for c in p.steps:
@@ -112,6 +86,23 @@ def path_points(p: PathWord) -> list[tuple[int, int]]:
             y += 1
         pts.append((x, y))
     return pts
+
+
+def path_leq(p: PathWord, q: PathWord) -> bool:
+    """Dominance: every suffix of p has at most as many E steps as the
+    same suffix of q (p stays weakly below q).  Both end at x = n, so
+    that is every prefix of p having at least as many: x_p >= x_q at
+    each step."""
+    if len(p.steps) != len(q.steps):
+        raise ArgumentError("paths have different lengths")
+    return all(a >= b for (a, _), (b, _) in zip(path_points(p), path_points(q)))
+
+
+def column_heights(p: PathWord) -> tuple[int, ...]:
+    """Height of the path over each unit column: the y at which the
+    (c+1)-th E step starts, for c = 0, ..., n-1."""
+    pts = path_points(p)
+    return tuple(y for (x, y), (x2, _) in zip(pts, pts[1:]) if x2 > x)
 
 
 def skew_boxes(lower: SubsetMask, upper: SubsetMask) -> frozenset[tuple[int, int]]:
@@ -134,19 +125,11 @@ def is_snake(lower: SubsetMask, upper: SubsetMask) -> bool:
 
 def bounding_path_meets(lower: SubsetMask, upper: SubsetMask) -> int:
     """Number of times the two bounding paths meet weakly above the
-    antidiagonal: shared prefix-E counts after j >= n steps."""
+    antidiagonal: the points they share after j >= n steps, (n, n) too."""
     _require_interval(lower, upper)
-    p = path_from_subset(lower).steps
-    q = path_from_subset(upper).steps
     n = lower.n
-    meets = 0
-    ep = eq = 0
-    for j in range(1, 2 * n + 1):
-        ep += p[j - 1] == "E"
-        eq += q[j - 1] == "E"
-        if j >= n and ep == eq:
-            meets += 1
-    return meets
+    p, q = path_points(path_from_subset(lower)), path_points(path_from_subset(upper))
+    return sum(a == b for a, b in zip(p[n:], q[n:]))
 
 
 def skew_svg(lower: SubsetMask, upper: SubsetMask) -> str:

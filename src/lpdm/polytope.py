@@ -10,7 +10,7 @@ agree.  Intersecting two such polytopes over the same ground gives
 another one (or nothing): that is ``matroid.intersect``.  Everything
 here is exact and works on integers, never floats: ``contains`` reads a
 rational point in one pass, raising a running scale to each denominator
-it meets, and ``as_integers`` scales a point set by one common lcm.
+it meets.
 """
 
 from __future__ import annotations
@@ -53,23 +53,6 @@ class HRep(Frozen):
 
 def hrep(m: LpdmSpec) -> HRep:
     return HRep._trusted(m.n, m.lower_mask().profile, m.upper_mask().profile)
-
-
-def as_integers(points) -> tuple[int, list[tuple[int, ...]]]:
-    """Rational points scaled to integers: (scale, scaled points).
-
-    Each coordinate is read as an exact rational (an ``int`` or a
-    ``Fraction`` as it is, anything else through ``Fraction``), and every
-    point is multiplied by the lcm of all the denominators.
-    """
-    pts = [tuple(p) for p in points]
-    if set(map(type, chain.from_iterable(pts))) <= {int}:
-        return 1, pts
-    import fractions  # here, not at the top: integer-only commands never load it
-
-    pts = [tuple(c if isinstance(c, (int, fractions.Fraction)) else fractions.Fraction(c) for c in p) for p in pts]
-    scale = math.lcm(*(c.denominator for c in chain.from_iterable(pts)))
-    return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in pts]
 
 
 def contains(h: HRep, point) -> bool:
@@ -137,9 +120,9 @@ class Facet(Frozen):
     def __init__(self, kind: str, index: int, level: object) -> None:
         if kind not in ("coordinate", "suffix"):
             raise ArgumentError(f"unknown facet kind {kind!r}")
-        if not isinstance(index, int) or index < 1:
+        if type(index) is not int or index < 1:
             raise ArgumentError(f"facet index must be a positive integer, got {index!r}")
-        if kind == "coordinate" and level not in (0, 1):
+        if kind == "coordinate" and (type(level) is not int or level not in (0, 1)):
             raise ArgumentError(f"coordinate facet level must be 0 or 1, got {level!r}")
         if kind == "suffix" and level not in ("lower", "upper"):
             raise ArgumentError(f"suffix facet level must be 'lower' or 'upper', got {level!r}")

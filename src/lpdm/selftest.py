@@ -45,6 +45,7 @@ from .matroid import (
 )
 from .oracle import (
     affine_rank,
+    as_integers,
     count_lattice_points,
     ehrhart_eval,
     ehrhart_table,
@@ -72,7 +73,7 @@ from .perms import (
     eulerian_number,
     permutation_to_chain,
 )
-from .polytope import Facet, as_integers, contains, dimension, face, hrep, is_linked, vertex_set
+from .polytope import Facet, contains, dimension, face, hrep, is_linked, vertex_set
 from .subsets import (
     SubsetMask,
     all_subsets,

@@ -57,12 +57,12 @@ class SubsetMask(Frozen):
     _fields = ("n", "bits")
 
     def __init__(self, n: int, members: frozenset[int] = frozenset()) -> None:
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ArgumentError(f"ground size must be a non-negative integer, got {n!r}")
         members = frozenset(members)
         bits = 0
         for x in members:
-            if not isinstance(x, int) or not 1 <= x <= n:
+            if type(x) is not int or not 1 <= x <= n:
                 raise ArgumentError(f"member {x!r} outside ground set [1, {n}]")
             bits |= 1 << x - 1
         self.__dict__.update(n=n, bits=bits, members=members)

@@ -464,6 +464,14 @@ def test_tri_label_reads_perm_as_an_integer_array():
     assert (res.exit_code, res.payload) == (2, {"code": "usage", "message": "field 'perm' must be an array of integers"})
 
 
+def test_a_coordinate_facet_reads_its_value_as_an_integer():
+    doc = '{{"n":4,"S":[1],"T":[2,4],"facet":{{"kind":"coordinate","i":2,"value":{}}}}}'
+    res = run(["polytope", "face", doc.format("1")])
+    assert (res.exit_code, res.payload["kind"]) == (0, "coordinate-1")
+    res = run(["polytope", "face", doc.format("1.0")])
+    assert (res.exit_code, res.payload) == (2, {"code": "usage", "message": "coordinate facet needs 'value' 0 or 1"})
+
+
 def test_writers_shape_the_rare_results():
     m = lpdm.LpdmSpec.of(3, {1}, {2, 3})
     w = _writers()

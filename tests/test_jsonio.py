@@ -107,6 +107,8 @@ def test_facet_from_json():
         {"kind": "weird", "i": 1, "value": 0},
         {"kind": "coordinate", "i": 1, "value": 2},
         {"kind": "coordinate", "i": 1, "value": True},
+        {"kind": "coordinate", "i": 1, "value": 1.0},
+        {"kind": "coordinate", "i": 1, "value": 0.0},
         {"kind": "suffix", "i": 1, "side": "top"},
         {"kind": "coordinate", "value": 0},
     ):

@@ -85,6 +85,9 @@ def test_set_family_canonical_order():
     assert f.sorted_member_lists() == [[], [1], [3], [1, 2]]
     with pytest.raises(ArgumentError):
         SetFamily((1, 2), ({3},))
+    for members in ([{1.0}, {True, 2}], [{1.0}], [{True, 2}], [set(), {2.0}]):
+        with pytest.raises(ArgumentError, match="labels must be integers"):
+            SetFamily((1, 2), members)
 
 
 def test_feasible_sets_worked():

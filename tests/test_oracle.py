@@ -21,8 +21,7 @@ from lpdm import (
     vertex_set,
 )
 from lpdm import oracle
-from lpdm.oracle import _Hull, count_suffix_box
-from lpdm.polytope import as_integers
+from lpdm.oracle import _Hull, as_integers, count_suffix_box
 
 
 # Slow, independent routes: the rational tableau and the rational
@@ -130,6 +129,27 @@ def affine_rank_reference(points):
     return rank
 
 
+def simplex_volume_reference(vertices):
+    """|det| / n! of the edge vectors, by Gaussian elimination over Fraction."""
+    pts = [tuple(Fraction(c) for c in p) for p in vertices]
+    rows = [[c - b for c, b in zip(p, pts[0])] for p in pts[1:]]
+    n = len(rows)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        top = rows[col]
+        det *= top[col]
+        for row in rows[col + 1 :]:
+            f = row[col] / top[col]
+            row[:] = [x - f * y for x, y in zip(row, top)]
+    return abs(det) / math.factorial(n)
+
+
 def random_cloud(rng, n):
     """Up to 12 rational points in [-2, 2]^n, with duplicates now and then."""
     pts = []
@@ -177,7 +197,7 @@ def test_ehrhart_table_and_eval():
     assert counts == (1, 4, 9)
     assert ehrhart_eval(counts, 3) == 16
     assert ehrhart_eval(counts, 0) == 1
-    assert ehrhart_table(h, 4) == (1, 4, 9, 16, 25)
+    assert tuple(count_lattice_points(h, t) for t in range(5)) == (1, 4, 9, 16, 25)
 
 
 def test_ehrhart_eval_matches_counts(specs_n3):
@@ -197,6 +217,32 @@ def test_simplex_volume():
         simplex_volume([(0, 0), (1, 0)])
     with pytest.raises(ArgumentError):
         simplex_volume([])
+
+
+def test_simplex_volume_is_exact_on_rational_vertices(spell_mixed):
+    half = Fraction(1, 2)
+    assert simplex_volume([(0, 0), (3 * half, 0), (0, 1)]) == Fraction(3, 4)
+    assert simplex_volume([(0, 0), (half, 0), (0, 1)]) == Fraction(1, 4)
+    assert simplex_volume([("0", 0.0), ("1/2", 0), (0, True)]) == Fraction(1, 4)
+    assert simplex_volume([()]) == 1
+    with pytest.raises(DomainError):
+        simplex_volume([(0, 0), (half, half), (1, 1)])
+    rng = random.Random(19)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        verts = random_cloud(rng, n)[: n + 1]
+        if len(verts) < n + 1:
+            continue
+        want = simplex_volume_reference(verts)
+        if want == 0:
+            with pytest.raises(DomainError):
+                simplex_volume(verts)
+            continue
+        assert simplex_volume(verts) == want, verts
+        assert simplex_volume([spell_mixed(rng, v) for v in verts]) == want, verts
+        # vol(kV) = k^n vol(V)
+        for k in (2, 3, Fraction(1, 3), Fraction(-5, 2)):
+            assert simplex_volume([tuple(k * c for c in v) for v in verts]) == abs(k) ** n * want
 
 
 def test_hull_membership():

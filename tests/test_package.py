@@ -63,6 +63,11 @@ def test_a_submodule_name_loads_that_module_alone():
         assert _fresh(probe.format(first, sorted(ROOT_NAMES))) == "lpdm.triangulate True"
 
 
+def test_the_oracle_loads_no_module_it_checks():
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('lpdm')))"
+    assert _fresh("import lpdm.oracle; " + loaded) == "['lpdm', 'lpdm.errors', 'lpdm.oracle']"
+
+
 def test_star_import_and_dir_give_the_root_names():
     star = "from lpdm import *; print(sorted(k for k in globals() if k[0] != '_' and k != 'sys'))"
     assert _fresh(star) == str(sorted(ROOT_NAMES))

@@ -1,14 +1,18 @@
+from itertools import product
+
 import pytest
 
 from lpdm import (
     ArgumentError,
     DomainError,
+    LpdmSpec,
     OrderError,
     PathWord,
     SubsetMask,
     all_subsets,
     bounding_path_meets,
     column_heights,
+    dimension,
     gale_leq,
     is_snake,
     is_symmetric,
@@ -23,6 +27,57 @@ from lpdm import (
 
 def mask(n, *members):
     return SubsetMask(n, frozenset(members))
+
+
+# Slow, independent routes: step loops over the word, one per reader, kept
+# as references for the readers that now go through ``path_points``.
+
+
+def path_leq_reference(p, q):
+    """Every suffix of p has at most as many E steps as that of q."""
+    ep = eq = 0
+    for cp, cq in zip(reversed(p.steps), reversed(q.steps)):
+        ep += cp == "E"
+        eq += cq == "E"
+        if ep > eq:
+            return False
+    return True
+
+
+def column_heights_reference(p):
+    """The N steps taken before each E step."""
+    heights, seen_n = [], 0
+    for c in p.steps:
+        if c == "E":
+            heights.append(seen_n)
+        else:
+            seen_n += 1
+    return tuple(heights)
+
+
+def bounding_path_meets_reference(lower, upper):
+    """Steps j >= n, from the first step on, after which both words have
+    taken as many E steps."""
+    p, q = path_from_subset(lower).steps, path_from_subset(upper).steps
+    n, meets, ep, eq = lower.n, 0, 0, 0
+    for j in range(1, 2 * n + 1):
+        ep += p[j - 1] == "E"
+        eq += q[j - 1] == "E"
+        meets += j >= n and ep == eq
+    return meets
+
+
+def balanced_words(max_len):
+    for length in range(0, max_len + 1, 2):
+        for steps in product("EN", repeat=length):
+            if steps.count("E") * 2 == length:
+                yield PathWord("".join(steps))
+
+
+def comparable_pairs(ns):
+    for n in ns:
+        subsets = list(all_subsets(n))
+        yield from ((s, t) for s in subsets for t in subsets if gale_leq(s, t))
 
 
 def test_path_word_validates():
@@ -82,6 +137,30 @@ def test_column_heights():
 
 def test_path_points():
     assert path_points(PathWord("EN")) == [(0, 0), (1, 0), (1, 1)]
+    assert path_points(PathWord("")) == [(0, 0)]
+
+
+def test_word_readers_match_the_step_loop_references():
+    words = list(balanced_words(10))
+    pairs = 0
+    for p in words:
+        assert column_heights(p) == column_heights_reference(p)
+        for q in words:
+            if p.n == q.n:
+                assert path_leq(p, q) == path_leq_reference(p, q), (p, q)
+                pairs += 1
+    assert pairs == 68845
+
+
+def test_bounding_path_meets_matches_the_step_loop_reference():
+    for s, t in comparable_pairs(range(1, 8)):
+        assert bounding_path_meets(s, t) == bounding_path_meets_reference(s, t), (s, t)
+
+
+def test_dimension_is_n_plus_one_minus_the_meets():
+    # the point polytope on the empty ground too: its paths share (0, 0)
+    for s, t in comparable_pairs(range(8)):
+        assert dimension(LpdmSpec.of(s.n, s.members, t.members)) == s.n + 1 - bounding_path_meets(s, t)
 
 
 def test_skew_boxes_worked():
@@ -122,6 +201,7 @@ def test_bounding_path_meets():
     assert bounding_path_meets(mask(3, 1, 3), mask(3, 1, 3)) == 4
     # the full cube's bounds only meet at the far corner
     assert bounding_path_meets(mask(3), mask(3, 1, 2, 3)) == 1
+    assert bounding_path_meets(mask(0), mask(0)) == 1
 
 
 def test_skew_svg_deterministic():

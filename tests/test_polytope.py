@@ -240,6 +240,12 @@ def test_facet_validates():
         Facet("coordinate", 1, 2)
     with pytest.raises(ArgumentError):
         Facet("suffix", 1, 0)
+    # an index or a coordinate level equal to an int but not of type int is refused
+    for index, level in ((True, 1), (2.0, 1), (2, 1.0), (2, True), (2, False), (2, "1")):
+        with pytest.raises(ArgumentError):
+            Facet("coordinate", index, level)
+    with pytest.raises(ArgumentError):
+        Facet("suffix", True, "lower")
 
 
 def test_face_coordinate_worked():

@@ -39,6 +39,10 @@ def test_construction_validates_members():
         mask(3, 0)
     with pytest.raises(ArgumentError):
         SubsetMask(-1, frozenset())
+    # a size or member equal to an int but not of type int is refused
+    for n, members in ((True, {True}), (True, set()), (3.0, {1}), (3, {1.0}), (3, {True}), (3, {2, False})):
+        with pytest.raises(ArgumentError):
+            SubsetMask(n, frozenset(members))
 
 
 def test_complement_and_len():
