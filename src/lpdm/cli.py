@@ -183,7 +183,7 @@ def _writers() -> dict:
         lower, upper, is_int = _lib("matroid:family_interval_bounds")(fam)
         return family(fam, bounds={"lower": sorted(lower), "upper": sorted(upper), "is_interval": is_int})
 
-    def spelled(out, s) -> list:  # in one batch, as SetFamily.sorted_member_lists: faster than mask by mask
+    def spelled(out, s) -> list:  # in one batch, as jsonio.family_json: faster than mask by mask
         return list(map(list, _lib("subsets:_decode")([x.bits for x in out], tuple(range(1, s.n + 1)), tuple)))
 
     def catalan(m, n) -> dict:

@@ -50,13 +50,13 @@ def _require_dict(obj, what: str) -> dict:
 
 def parse_int(obj, key: str) -> int:
     val = _require_dict(obj, "input").get(key)
-    if not isinstance(val, int) or isinstance(val, bool):
+    if type(val) is not int:
         raise UsageError(f"field {key!r} must be an integer")
     return val
 
 
 def parse_int_list(val, key: str) -> list[int]:
-    if not isinstance(val, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in val):
+    if not isinstance(val, list) or any(type(x) is not int for x in val):
         raise UsageError(f"field {key!r} must be an array of integers")
     return list(val)
 
@@ -115,7 +115,10 @@ def spec_json(m: LpdmSpec) -> dict:
 
 
 def family_json(fam: SetFamily) -> dict:
-    return {"ground": list(fam.ground), "members": fam.sorted_member_lists()}
+    """The ground and the members, each member its labels in ground
+    order, decoded from the family's masks in one batch."""
+    from .subsets import _decode
+    return {"ground": list(fam.ground), "members": list(map(list, _decode(fam._masks, fam.ground, tuple)))}
 
 
 def layer_json(m: LpdmSpec) -> dict:
@@ -137,11 +140,7 @@ def frac_str(q) -> str:
 
 def parse_frac(val) -> Fraction:
     from fractions import Fraction
-    if isinstance(val, bool):
-        raise UsageError(f"not a rational: {val!r}")
-    if isinstance(val, int):
-        return Fraction(val)
-    if isinstance(val, str):
+    if type(val) is int or isinstance(val, str):
         try:
             return Fraction(val)
         except (ValueError, ZeroDivisionError) as exc:

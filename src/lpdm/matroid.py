@@ -6,13 +6,14 @@ explicit labels (default 1..n) so that minors keep their element names:
 deleting 5 from a matroid on [5] leaves a matroid on {1, 2, 3, 4}.  All
 order computations happen positionally (labels are ranked by their
 position in the ground tuple); labels are only translated at the
-boundary.
+boundary, by one lookup, ``_position``, which takes an ``int`` of the
+ground and nothing else (not ``True``, not ``1.0``).
 
 The operations implemented here:
 
 * ``feasible_sets``        -- enumerate the interval.
 * ``exchange_witness``     -- the symmetric exchange axiom: None, or a witness.
-* ``classify_elements``    -- loops and coloops.
+* ``classify_elements``    -- loops and coloops, read off the minors.
 * ``dual``, ``delete``, ``contract``, ``direct_sum``, ``intersect`` --
   minors, sums and crossings, all returning interval specs again.
 * ``homogeneous_component`` -- the fixed-size layer: [S, T] with its
@@ -29,7 +30,8 @@ The operations implemented here:
 Every spec derived from another (a minor, a crossing, a layer, a face
 block) comes from one move: pin a suffix count or fix a position in the
 box profile(S) <= F <= profile(T), then tighten the box back to the
-least and greatest profiles inside it (``_box_spec``).
+least and greatest profiles inside it (``_box_spec``).  The loops and
+coloops are the labels whose contraction or deletion leaves no box.
 
 A lattice path matroid is an ``LpdmSpec`` whose two bounds have one
 size, so the layers and the envelope are specs like any other: between
@@ -39,10 +41,11 @@ sorted tuples.
 One int encoding serves subsets and families: bit i - 1 stands for
 ground position i.  A spec stores its bounds as ``SubsetMask``s and a
 ``SetFamily`` its members as such ints.  Equality, hashing, counting,
-membership, the exchange axiom, projection, the interval bounds and the
-JSON lists all work on the masks; the label sets ``lower``, ``upper``
-and ``members`` are decoded only when first read.  Derived specs and
-families are built from masks through ``_trusted``, checked no further.
+membership, the exchange axiom, projection and the interval bounds all
+work on the masks, and ``jsonio.family_json`` decodes them in one batch;
+the label sets ``lower``, ``upper`` and ``members`` are decoded only when
+first read.  Derived specs and families are built from masks through
+``_trusted``, checked no further.
 """
 
 from __future__ import annotations
@@ -77,6 +80,13 @@ __all__ = [
     "relabel",
     "signed_label_set",
 ]
+
+
+def _position(ground: tuple[int, ...], label: int) -> int:
+    """The position (1-based) of ``label`` in ``ground``, which must hold it."""
+    if type(label) is int and label in ground:
+        return ground.index(label) + 1
+    raise ArgumentError(f"label {label!r} is not in the ground {ground!r}")
 
 
 def _check_ground(ground: tuple[int, ...]) -> None:
@@ -124,6 +134,8 @@ class LpdmSpec(Frozen):
 
     @classmethod
     def of(cls, n: int, lower=(), upper=()) -> "LpdmSpec":
+        if type(n) is not int or n < 0:
+            raise ArgumentError(f"ground size must be a non-negative integer, got {n!r}")
         return cls(tuple(range(1, n + 1)), frozenset(lower), frozenset(upper))
 
     @property
@@ -131,10 +143,7 @@ class LpdmSpec(Frozen):
         return len(self.ground)
 
     def position(self, label: int) -> int:
-        try:
-            return self.ground.index(label) + 1
-        except ValueError:
-            raise ArgumentError(f"label {label!r} is not in the ground {self.ground!r}") from None
+        return _position(self.ground, label)
 
     def labels(self, positions) -> frozenset[int]:
         return frozenset(self.ground[p - 1] for p in positions)
@@ -212,13 +221,10 @@ class SetFamily(Frozen):
 
     def __contains__(self, fs) -> bool:
         bit, fs = self._bit, frozenset(fs)
-        return fs <= bit.keys() and sum(bit[x] for x in fs) in self._mask_set
+        return all(type(x) is int for x in fs) and fs <= bit.keys() and sum(bit[x] for x in fs) in self._mask_set
 
     def __repr__(self) -> str:
         return f"SetFamily(ground={self.ground!r}, members={self.members!r})"
-
-    def sorted_member_lists(self) -> list[list[int]]:
-        return list(map(list, _decode(self._masks, self.ground, tuple)))
 
 
 def feasible_sets(m: LpdmSpec) -> SetFamily:
@@ -273,21 +279,11 @@ def _first_failure(family: SetFamily, a1: frozenset[int]):
 
 
 def classify_elements(m: LpdmSpec) -> tuple[frozenset[int], frozenset[int]]:
-    """(loops, coloops) as label sets.
-
-    A coloop is in every feasible set: it must sit in both bounds and
-    the two bounds must agree strictly above it, so that no feasible set
-    can trade it away.  Loops (in no feasible set) are the coloops of
-    the dual.
-    """
-    n = m.n
-    s, t = m.lower_mask(), m.upper_mask()
-    a, b = s.profile, t.profile
-    # positions above which the two bounds hold the same number of elements
-    pinned = [p for p in range(1, n + 1) if p == n or a[p] == b[p]]
-    loops = m.labels(p for p in pinned if p not in s and p not in t)
-    coloops = m.labels(p for p in pinned if p in s and p in t)
-    return (loops, coloops)
+    """(loops, coloops) as label sets, read off ``_minor``: a loop is in
+    no feasible set, so contracting it leaves none, and a coloop is in
+    every one, so deleting it leaves none."""
+    loops = frozenset(g for g in m.ground if _minor(m, g, 1) is None)
+    return (loops, frozenset(g for g in m.ground if _minor(m, g, 0) is None))
 
 
 def dual(m: LpdmSpec) -> LpdmSpec:
@@ -389,8 +385,8 @@ def homogeneous_component(m: LpdmSpec, k: int):
     ``LpdmSpec`` whose two bounds have size k.  Nothing is enumerated.
     """
     n = m.n
-    if not 0 <= k <= n:
-        raise ArgumentError(f"size {k} outside [0, {n}]")
+    if type(k) is not int or not 0 <= k <= n:
+        raise ArgumentError(f"size {k!r} outside [0, {n}]")
     if n == 0:
         return m
     a, b = m.lower_mask().profile, m.upper_mask().profile
@@ -399,6 +395,8 @@ def homogeneous_component(m: LpdmSpec, k: int):
 
 def envelope_ground(n: int) -> tuple[int, ...]:
     """The signed ground -n < ... < -1 < 1 < ... < n."""
+    if type(n) is not int or n < 0:
+        raise ArgumentError(f"ground size must be a non-negative integer, got {n!r}")
     return tuple(range(-n, 0)) + tuple(range(1, n + 1))
 
 
@@ -422,25 +420,15 @@ def envelope_project(basis: frozenset[int], n: int) -> tuple[Fraction, ...]:
     """Halving projection from the signed cube to the cube: coordinate i
     of the image of the indicator vector of B is ((x_i - x_{-i}) + 1)/2."""
     from fractions import Fraction
-    basis = frozenset(basis)
-    if len(basis) != n:
-        raise ArgumentError(f"expected an n-subset of the signed ground, got {sorted(basis)!r}")
-    for x in basis:
-        if not isinstance(x, int) or x == 0 or abs(x) > n:
-            raise ArgumentError(f"label {x!r} outside the signed ground")
-    out = []
-    for i in range(1, n + 1):
-        xi = 1 if i in basis else 0
-        xmi = 1 if -i in basis else 0
-        out.append(Fraction(xi - xmi + 1, 2))
-    return tuple(out)
+    signed, basis = envelope_ground(n), frozenset(basis)
+    if len(basis) != n or any(type(x) is not int or x not in signed for x in basis):
+        raise ArgumentError(f"expected an n-subset of the signed ground {signed!r}, got {basis!r}")
+    return tuple(Fraction((i in basis) - (-i in basis) + 1, 2) for i in range(1, n + 1))
 
 
 def project_element(family: SetFamily, label: int) -> SetFamily:
     """Drop ``label`` from every member (and from the ground)."""
-    if label not in family.ground:
-        raise ArgumentError(f"label {label!r} is not in the ground {family.ground!r}")
-    p = family.ground.index(label)
+    p = _position(family.ground, label) - 1
     below = (1 << p) - 1
     # the bits above p move down one place
     masks = [x & below | x >> 1 & ~below for x in family._masks]
@@ -468,6 +456,6 @@ def catalan_spec(n: int) -> LpdmSpec:
     """The interval of symmetric paths weakly below the staircase that
     begins with an E step, on the ground [2n]: lower bound empty, upper
     bound the odd numbers.  Its feasible count is binomial(2n, n)."""
-    if n < 1:
-        raise ArgumentError("n must be at least 1")
+    if type(n) is not int or n < 1:
+        raise ArgumentError(f"n must be a positive integer, got {n!r}")
     return LpdmSpec.of(2 * n, frozenset(), frozenset(range(1, 2 * n, 2)))

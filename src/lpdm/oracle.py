@@ -76,8 +76,8 @@ def count_suffix_box(lower, upper, t: int) -> int:
     n = len(lower)
     if len(upper) != n:
         raise ArgumentError("bounds must have equal lengths")
-    if t < 0:
-        raise ArgumentError("dilation must be non-negative")
+    if type(t) is not int or t < 0:
+        raise ArgumentError(f"dilation must be a non-negative integer, got {t!r}")
     cur = {0: 1}
     for i in range(n, 0, -1):
         lo, hi = lower[i - 1], upper[i - 1]
@@ -104,11 +104,10 @@ def ehrhart_table(h: HRep) -> tuple[int, ...]:
 
 
 def _forward_differences(counts) -> list[int]:
-    diffs = list(counts)
-    out = [diffs[0]]
-    while len(diffs) > 1:
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    diffs, out = list(counts), []
+    while diffs:
         out.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     return out
 
 
@@ -125,12 +124,15 @@ def ehrhart_volume(h: HRep) -> Fraction:
 
 
 def ehrhart_eval(counts, t: int) -> int:
-    """Value at t of the interpolating polynomial through the counts at
-    0, 1, ... (Newton forward differences)."""
+    """Value at any integer t of the polynomial through the counts at 0,
+    1, ...: Newton's forward form, with C(t, k) = t(t-1)...(t-k+1) / k!."""
     deltas = _forward_differences(counts)
-    total = 0
+    if not deltas or type(t) is not int:
+        raise ArgumentError(f"need at least one count and an integer t, got {len(deltas)} counts and t = {t!r}")
+    total, binom = 0, 1
     for k, d in enumerate(deltas):
-        total += d * math.comb(t, k)
+        total += d * binom
+        binom = binom * (t - k) // (k + 1)  # exact: C(t, k + 1) is an integer
     return total
 
 

@@ -9,7 +9,9 @@ it happens and call that w(l).
 
 Every descent count here (one descent set, a Gale interval of them, a
 number of descents) comes from one transfer-matrix table over suffixes,
-``_descent_layers``, in O(n^3) integer additions.
+``_descent_layers``, in O(n^3) integer additions.  A descent set is a
+subset of [n-1] and is read as a ``SubsetMask`` of [n-1], whose member
+rule it follows.  Every n, k and box entry must be an ``int``.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ class Permutation(Frozen):
 
 def all_permutations(n: int):
     """All permutations of [n] in lexicographic one-line order."""
+    if type(n) is not int or n < 0:
+        raise ArgumentError(f"n must be a non-negative integer, got {n!r}")
     for images in itertools.permutations(range(1, n + 1)):
         yield Permutation._trusted(images)
 
@@ -111,8 +115,8 @@ def count_perms_in_descent_box(lo, hi) -> int:
     permutations whose descent set lies in that Gale interval.
     """
     lo, hi = tuple(lo), tuple(hi)
-    if len(lo) != len(hi):
-        raise ArgumentError("lo and hi must have the same length")
+    if len(lo) != len(hi) or any(type(c) is not int for c in lo + hi):
+        raise ArgumentError(f"lo and hi must be integer tuples of the same length, got {lo!r} and {hi!r}")
     if not lo:
         return 1
     for layer in _descent_layers(lo, hi):
@@ -122,19 +126,15 @@ def count_perms_in_descent_box(lo, hi) -> int:
 
 
 def _descent_profile(n: int, dset) -> tuple[int, ...]:
-    """|dset inter [i, n-1]| for i = 1, ..., n; ``dset`` must lie in [1, n-1]."""
-    bits = 0
-    for d in sorted(set(dset)):
-        if not isinstance(d, int) or not 0 < d < n:
-            raise ArgumentError(f"descent position {d!r} outside [1, {max(n, 1) - 1}]")
-        bits |= 1 << d - 1
-    return SubsetMask._trusted(n, bits).profile
+    """|dset inter [i, n-1]| for i = 1, ..., n: the profile of ``dset``
+    read as a ``SubsetMask`` of [n-1], with a closing 0 when n > 0."""
+    if type(n) is not int or n < 0:
+        raise ArgumentError(f"n must be a non-negative integer, got {n!r}")
+    return (SubsetMask(max(n - 1, 0), dset).profile + (0,))[:n]
 
 
 def count_perms_with_descent_set(n: int, dset) -> int:
     """Number of permutations of [n] with descent set exactly ``dset``."""
-    if n < 0:
-        raise ArgumentError("n must be non-negative")
     prof = _descent_profile(n, dset)
     return count_perms_in_descent_box(prof, prof)
 
@@ -147,8 +147,6 @@ def perms_with_descent_set(n: int, dset):
     suffix table of ``count_perms_with_descent_set`` counts a completion
     for it, so no branch dies: the work follows the output, not n!.
     """
-    if n < 0:
-        raise ArgumentError("n must be non-negative")
     prof = _descent_profile(n, dset)
     if n == 0:
         yield Permutation._trusted(())
@@ -176,8 +174,8 @@ def perms_with_descent_set(n: int, dset):
 
 def eulerian_number(n: int, k: int) -> int:
     """Permutations of [n] with exactly k descents."""
-    if n < 0:
-        raise ArgumentError("n must be non-negative")
+    if type(n) is not int or type(k) is not int or n < 0:
+        raise ArgumentError(f"n and k must be integers and n non-negative, got {n!r} and {k!r}")
     if k < 0 or k >= max(n, 1):
         return 0
     return count_perms_in_descent_box((k,) + (0,) * (n - 1), (k,) + (n,) * (n - 1))

@@ -42,8 +42,8 @@ class HRep(Frozen):
 
     def __init__(self, n: int, lower: tuple[int, ...], upper: tuple[int, ...]) -> None:
         lower, upper = tuple(lower), tuple(upper)
-        if len(lower) != n or len(upper) != n:
-            raise ArgumentError("bounds must have one entry per coordinate")
+        if type(n) is not int or len(lower) != n or len(upper) != n:
+            raise ArgumentError(f"bounds must have one entry for each of n = {n!r} coordinates")
         if not (is_valid_profile(lower) and is_valid_profile(upper)):
             raise ArgumentError("bounds must be suffix-count profiles")
         if any(a > b for a, b in zip(lower, upper)):

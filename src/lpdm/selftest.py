@@ -1087,8 +1087,8 @@ def run_selftest(max_n: int = 5, names=None) -> list[CheckResult]:
     """Run the named checks (default: all, in registry order) with
     ground sizes up to ``max_n``, one after another; results come back
     in the order run."""
-    if max_n < 1:
-        raise ArgumentError("max_n must be at least 1")
+    if type(max_n) is not int or max_n < 1:
+        raise ArgumentError(f"max_n must be an integer of at least 1, got {max_n!r}")
     if names is None:
         chosen = list(CHECKS)
     else:

@@ -89,7 +89,7 @@ class SubsetMask(Frozen):
         return tuple([(bits >> i).bit_count() for i in range(self.n)])
 
     def __contains__(self, x: int) -> bool:
-        return isinstance(x, int) and 0 < x <= self.n and self.bits >> x - 1 & 1 == 1
+        return type(x) is int and 0 < x <= self.n and self.bits >> x - 1 & 1 == 1
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -115,6 +115,8 @@ def sort_key(s: SubsetMask) -> tuple[int, tuple[int, ...]]:
 
 def all_subsets(n: int):
     """All subsets of [n] in canonical order."""
+    if type(n) is not int or n < 0:
+        raise ArgumentError(f"ground size must be a non-negative integer, got {n!r}")
     for x in _completions((0,) * n, tuple(range(n, 0, -1))):
         yield SubsetMask._trusted(n, x)
 
@@ -125,15 +127,9 @@ def _require_same_n(s: SubsetMask, t: SubsetMask) -> None:
 
 
 def is_valid_profile(counts) -> bool:
+    """Is ``counts`` the profile of a subset: ints, each 0 or 1 above the next, the last 0 or 1?"""
     counts = tuple(counts)
-    n = len(counts)
-    if any(not isinstance(c, int) for c in counts):
-        return False
-    for i in range(n):
-        nxt = counts[i + 1] if i + 1 < n else 0
-        if counts[i] - nxt not in (0, 1):
-            return False
-    return True
+    return all(type(c) is int for c in counts) and all(a - b in (0, 1) for a, b in zip(counts, counts[1:] + (0,)))
 
 
 def mask_from_profile(counts) -> SubsetMask:

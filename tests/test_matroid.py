@@ -82,7 +82,7 @@ def test_set_family_canonical_order():
     assert f.members == (frozenset(), frozenset({1}), frozenset({3}), frozenset({1, 2}))
     assert len(f) == 4
     assert {1, 2} in f and {2, 3} not in f
-    assert f.sorted_member_lists() == [[], [1], [3], [1, 2]]
+    assert family_json(f)["members"] == [[], [1], [3], [1, 2]]
     with pytest.raises(ArgumentError):
         SetFamily((1, 2), ({3},))
     for members in ([{1.0}, {True, 2}], [{1.0}], [{True, 2}], [set(), {2.0}]):
@@ -201,6 +201,32 @@ def test_classify_elements():
     assert coloops == frozenset({2}) and loops == frozenset({1, 3})
     loops, coloops = classify_elements(LpdmSpec.of(3, {1}, {1, 3}))
     assert loops == frozenset() and coloops == frozenset()
+
+
+def classify_reference(m):
+    """(loops, coloops) by the positional profile rule: position p is
+    pinned when p = n or the bounds hold equally many elements above it;
+    a pinned p in both bounds is a coloop, and in neither a loop."""
+    s, t = m.lower_mask(), m.upper_mask()
+    a, b = s.profile, t.profile
+    pinned = [p for p in range(1, m.n + 1) if p == m.n or a[p] == b[p]]
+    loops = m.labels(p for p in pinned if p not in s and p not in t)
+    return (loops, m.labels(p for p in pinned if p in s and p in t))
+
+
+def test_classify_elements_matches_the_profile_rule():
+    checked = 0
+    for n in range(7):
+        masks = list(all_subsets(n))
+        permuted = tuple(random.Random(f"classify:{n}").sample(range(1, n + 1), n))
+        for s in masks:
+            for t in masks:
+                if gale_leq(s, t):
+                    for ground in (tuple(range(1, n + 1)), permuted):
+                        m = LpdmSpec(ground, frozenset(ground[p - 1] for p in s.members), frozenset(ground[p - 1] for p in t.members))
+                        assert classify_elements(m) == classify_reference(m), m
+                        checked += 1
+    assert checked == 2 * 2353  # the comparable pairs with n <= 6, on two grounds
 
 
 def test_dual_worked():
@@ -512,7 +538,7 @@ def test_mask_fold_matches_the_reference_on_other_grounds(kind):
             fam = feasible_sets(m)
             assert len(fam) == len(want) and fam.members == want, m
             order = {g: i for i, g in enumerate(m.ground)}
-            assert fam.sorted_member_lists() == [sorted(a, key=order.__getitem__) for a in want]
+            assert family_json(fam)["members"] == [sorted(a, key=order.__getitem__) for a in want]
             assert all(a in fam for a in want)
 
 
@@ -524,7 +550,7 @@ def test_mask_fold_matches_the_reference_on_long_grounds():
             fam = feasible_sets(m)
             assert fam.members == canonical_reference(m), m
             order = {g: i for i, g in enumerate(ground)}
-            assert fam.sorted_member_lists() == [sorted(a, key=order.__getitem__) for a in fam.members]
+            assert family_json(fam)["members"] == [sorted(a, key=order.__getitem__) for a in fam.members]
 
 
 def test_envelope_bases_match_the_reference():
@@ -562,8 +588,8 @@ def test_reading_the_masks_leaves_members_undecoded():
     assert len(fam) == len(canonical_reference(m))
     assert first in fam and tuple(first) in fam and {-2, 4} not in fam and {5, -2, 9, 1, -7, 30} not in fam
     assert exchange_witness(fam) is None
-    lists = fam.sorted_member_lists()
-    assert family_json(fam) == {"ground": list(m.ground), "members": lists}
+    lists = family_json(fam)["members"]
+    assert family_json(fam)["ground"] == list(m.ground)
     proj = project_element(fam, 9)
     lower, upper, _ = family_interval_bounds(proj)
     assert lower | upper <= set(proj.ground)

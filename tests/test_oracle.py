@@ -208,6 +208,32 @@ def test_ehrhart_eval_matches_counts(specs_n3):
             assert ehrhart_eval(counts, t) == count_lattice_points(h, t)
 
 
+def lagrange_reference(counts, t):
+    """The polynomial through (j, counts[j]), j = 0, 1, ..., at t, in Lagrange form over Fractions."""
+    total = Fraction(0)
+    for j, c in enumerate(counts):
+        term = Fraction(c)
+        for i in range(len(counts)):
+            if i != j:
+                term *= Fraction(t - i, j - i)
+        total += term
+    return total
+
+
+def test_ehrhart_eval_matches_the_lagrange_interpolant(specs_n3):
+    rng = random.Random("ehrhart-eval")
+    tables = [ehrhart_table(hrep(m)) for m in specs_n3]
+    tables += [tuple(rng.randint(-50, 50) for _ in range(rng.randint(1, 8))) for _ in range(200)]
+    for counts in tables:
+        n = len(counts) - 1
+        for t in range(-3, n + 4):
+            got = ehrhart_eval(counts, t)
+            assert type(got) is int and got == lagrange_reference(counts, t), (counts, t)
+    for counts, t in (((), 0), ([1], True), ([1], 1.0), ([1, 4], Fraction(1))):
+        with pytest.raises(ArgumentError):
+            ehrhart_eval(counts, t)
+
+
 def test_simplex_volume():
     assert simplex_volume([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]) == Fraction(1, 6)
     assert simplex_volume([(0, 0), (2, 0), (0, 1)]) == 1

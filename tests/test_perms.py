@@ -23,6 +23,7 @@ from lpdm import (
     subdivide,
     volume,
 )
+from lpdm.perms import _descent_profile
 
 
 def beta_reference(n, dset):
@@ -107,6 +108,28 @@ def test_descent_set_count_validates():
     assert count_perms_with_descent_set(0, ()) == 1
     with pytest.raises(ArgumentError):
         count_perms_in_descent_box((0, 0), (1,))
+
+
+def descent_profile_reference(n, dset):
+    """|dset inter [i, n-1]| for i = 1, ..., n, by a loop over the positions."""
+    bits = 0
+    for d in sorted(set(dset)):
+        if not isinstance(d, int) or not 0 < d < n:
+            raise ArgumentError(f"descent position {d!r} outside [1, {max(n, 1) - 1}]")
+        bits |= 1 << d - 1
+    return SubsetMask._trusted(n, bits).profile
+
+
+def test_descent_profile_matches_the_position_loop():
+    for n in range(8):
+        for r in range(n + 1):
+            for dset in itertools.combinations(range(1, n), r):
+                want = descent_profile_reference(n, dset)
+                assert _descent_profile(n, dset) == want, (n, dset)
+                assert count_perms_with_descent_set(n, dset) == count_perms_in_descent_box(want, want), (n, dset)
+        for bad in (0, n, -1):
+            with pytest.raises(ArgumentError, match=rf"member {bad} outside ground set \[1, {max(n - 1, 0)}\]"):
+                _descent_profile(n, {bad})
 
 
 def test_descent_set_counts_match_reference():

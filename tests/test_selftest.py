@@ -28,6 +28,10 @@ def test_unknown_name_rejected():
         st.run_selftest(2, names=["no-such-check"])
     with pytest.raises(ArgumentError):
         st.run_selftest(0)
+    # a cap that is not an int is refused before any check runs
+    for cap in (2.5, 4.0, True, "3"):
+        with pytest.raises(ArgumentError, match="max_n must be an integer"):
+            st.run_selftest(cap)
 
 
 def test_requested_order_preserved():
