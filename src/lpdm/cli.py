@@ -65,7 +65,8 @@ _DOC = _arg("json", help="JSON input document")
 #   target  "module:function" in lpdm, imported and looked up when the call
 #           runs: a call loads only its own modules, and a function rebound
 #           on its module from outside is the one called
-#   writer  the payload shape, a name in ``_writers()`` (a name not there
+#   writer  the payload shape, a name in ``_writers()``, where a shape
+#           that only one writer uses is spelled out (a name not there
 #           wraps the result under that key); None for render, whose
 #           payload reports the file that ``--svg`` names
 _TABLE = (
@@ -174,7 +175,7 @@ def _read(word: str, obj: dict, spec):
 def _writers() -> dict:
     """Writer name -> payload(result, *the target's arguments).  Built on
     each call, so a jsonio function rebound from outside is the one called."""
-    from .jsonio import family_json, frac_str, hrep_json, layer_json, simplex_json, spec_json
+    from .jsonio import family_json, member_lists, spec_json
 
     def family(fam, **more) -> dict:
         return {**family_json(fam), "count": len(fam), **more}
@@ -183,8 +184,12 @@ def _writers() -> dict:
         lower, upper, is_int = _lib("matroid:family_interval_bounds")(fam)
         return family(fam, bounds={"lower": sorted(lower), "upper": sorted(upper), "is_interval": is_int})
 
-    def spelled(out, s) -> list:  # in one batch, as jsonio.family_json: faster than mask by mask
-        return list(map(list, _lib("subsets:_decode")([x.bits for x in out], tuple(range(1, s.n + 1)), tuple)))
+    def spelled(out, s) -> list:
+        return member_lists([x.bits for x in out], tuple(range(1, s.n + 1)))
+
+    def layer(m, k) -> dict:  # a lattice path matroid: its ground, k, and S and T in ground order
+        shape = spec_json(m)
+        return {"ground": list(m.ground), "k": k, "S": shape["S"], "T": shape["T"]}
 
     def catalan(m, n) -> dict:
         count = _lib("subsets:interval_size")(m.lower_mask(), m.upper_mask())
@@ -202,10 +207,10 @@ def _writers() -> dict:
         },
         "loops": lambda out, *_: {"loops": sorted(out[0]), "coloops": sorted(out[1])},
         "spec": lambda out, *_: {"spec": None if out is None else spec_json(out)},
-        "component": lambda out, m, k: {"k": k, "component": None if out is None else layer_json(out)},
+        "component": lambda out, m, k: {"k": k, "component": None if out is None else layer(out, k)},
         "family": lambda fam, *_: family(fam),
         "projection": projection,
-        "hrep": lambda h, *_: hrep_json(h),
+        "hrep": lambda h, *_: {"n": h.n, "a": list(h.lower), "b": list(h.upper)},
         "dim": lambda d, m: {"dimension": d, "linked": _lib("polytope:is_linked")(m)},
         "face": lambda res, *_: {
             "kind": res.kind,
@@ -213,9 +218,12 @@ def _writers() -> dict:
             "factors": None if res.factors is None else [spec_json(f) for f in res.factors],
         },
         "vertices": lambda out, *_: {"count": len(out), "vertices": [list(v) for v in out]},
-        "simplices": lambda out, *_: {"count": len(out), "simplices": [simplex_json(x) for x in out]},
+        "simplices": lambda out, *_: {
+            "count": len(out),
+            "simplices": [{"vertices": [list(v) for v in x.vertices], "perm": list(x.perm.images)} for x in out],
+        },
         "cells": lambda sub, *_: {"count": len(sub.cells), "cells": [spec_json(c) for c in sub.cells]},
-        "rational": lambda q, *_: frac_str(q),
+        "rational": lambda q, *_: f"{q.numerator}/{q.denominator}",
         "dilated": lambda count, h, t: {"t": t, "count": count},
         "catalan": catalan,
     }

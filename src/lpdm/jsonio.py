@@ -1,11 +1,12 @@
-"""JSON shapes for the command line tool.
+"""JSON readers for the command line tool, and the output shapes that
+several of its writers share: specs, families, and the member lists that
+``member_lists`` decodes from masks.  A shape that one writer alone uses
+is spelled out beside its table row, in ``cli._writers``.
 
-Subsets are sorted integer arrays, points are arrays of "p/q" strings,
-rationals are canonical "p/q" strings, specs are {"n", "S", "T"} with an
-optional explicit "ground".  Structural problems raise ``UsageError``
-(usage exit code); semantic problems surface as the usual domain errors
-from the constructors.
-"""
+Subsets are sorted integer arrays, points are arrays of integers and "p/q"
+strings, specs are {"n", "S", "T"} with an optional explicit "ground".
+Structural problems raise ``UsageError`` (usage exit code); semantic
+problems surface as the usual domain errors from the constructors."""
 
 from __future__ import annotations
 
@@ -19,16 +20,13 @@ if TYPE_CHECKING:
 
     from .matroid import LpdmSpec, SetFamily
     from .paths import PathWord
-    from .polytope import Facet, HRep
+    from .polytope import Facet
     from .subsets import SubsetMask
-    from .triangulate import LatticeSimplex
 
 __all__ = [
     "facet_from_json",
     "family_json",
-    "frac_str",
-    "hrep_json",
-    "layer_json",
+    "member_lists",
     "parse_frac",
     "parse_int",
     "parse_int_list",
@@ -37,7 +35,6 @@ __all__ = [
     "parse_spec",
     "parse_subset",
     "parse_word",
-    "simplex_json",
     "spec_json",
 ]
 
@@ -114,28 +111,14 @@ def spec_json(m: LpdmSpec) -> dict:
     return out
 
 
-def family_json(fam: SetFamily) -> dict:
-    """The ground and the members, each member its labels in ground
-    order, decoded from the family's masks in one batch."""
+def member_lists(masks, labels: tuple[int, ...]) -> list[list[int]]:
+    """Each mask over ``labels`` as the list of its labels in ``labels`` order, decoded in one batch."""
     from .subsets import _decode
-    return {"ground": list(fam.ground), "members": list(map(list, _decode(fam._masks, fam.ground, tuple)))}
+    return list(map(list, _decode(masks, labels, tuple)))
 
 
-def layer_json(m: LpdmSpec) -> dict:
-    """A spec whose bounds have one size k (a lattice path matroid):
-    its ground, k, and S and T in ground order."""
-    out = spec_json(m)
-    return {"ground": list(m.ground), "k": len(m.lower), "S": out["S"], "T": out["T"]}
-
-
-def hrep_json(h: HRep) -> dict:
-    return {"n": h.n, "a": list(h.lower), "b": list(h.upper)}
-
-
-def frac_str(q) -> str:
-    from fractions import Fraction
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+def family_json(fam: SetFamily) -> dict:
+    return {"ground": list(fam.ground), "members": member_lists(fam._masks, fam.ground)}
 
 
 def parse_frac(val) -> Fraction:
@@ -152,13 +135,6 @@ def parse_point(val) -> tuple[Fraction, ...]:
     if not isinstance(val, list):
         raise UsageError("field 'x' must be an array of rationals")
     return tuple(parse_frac(c) for c in val)
-
-
-def simplex_json(simp: LatticeSimplex) -> dict:
-    out = {"vertices": [list(v) for v in simp.vertices]}
-    if simp.perm is not None:
-        out["perm"] = list(simp.perm.images)
-    return out
 
 
 def facet_from_json(obj) -> Facet:

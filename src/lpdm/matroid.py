@@ -412,8 +412,10 @@ def envelope_bases(m: LpdmSpec) -> SetFamily:
     bounds.  Requires the standard ground 1..n."""
     if not m.standard_ground():
         raise ArgumentError("the enveloping matroid is defined over the standard ground 1..n")
-    lower, upper = m.lower_mask(), m.upper_mask()
-    return feasible_sets(LpdmSpec(envelope_ground(m.n), signed_label_set(lower), signed_label_set(upper)))
+    n = m.n  # on the signed ground, label i sits at position n + i and -i at n + 1 - i
+    lo, hi = (SubsetMask._trusted(2 * n, x.bits << n | sum(1 << n - i for i in range(1, n + 1) if i not in x))
+              for x in (m.lower_mask(), m.upper_mask()))
+    return feasible_sets(LpdmSpec._trusted(envelope_ground(n), lo, hi))
 
 
 def envelope_project(basis: frozenset[int], n: int) -> tuple[Fraction, ...]:

@@ -71,16 +71,13 @@ def count_suffix_box(lower, upper, t: int) -> int:
     dilated); the dynamic program walks i = n down to 1 keeping the
     distribution of the running suffix sum.
     """
-    lower = tuple(lower)
-    upper = tuple(upper)
-    n = len(lower)
-    if len(upper) != n:
-        raise ArgumentError("bounds must have equal lengths")
+    lower, upper = tuple(lower), tuple(upper)
+    if len(upper) != len(lower) or any(type(x) is not int for x in lower + upper):
+        raise ArgumentError(f"bounds must be integers of equal lengths, got {lower!r} and {upper!r}")
     if type(t) is not int or t < 0:
         raise ArgumentError(f"dilation must be a non-negative integer, got {t!r}")
     cur = {0: 1}
-    for i in range(n, 0, -1):
-        lo, hi = lower[i - 1], upper[i - 1]
+    for lo, hi in zip(reversed(lower), reversed(upper)):  # i = n down to 1
         nxt: dict[int, int] = {}
         for s, c in cur.items():
             for x in range(t + 1):
@@ -126,10 +123,10 @@ def ehrhart_volume(h: HRep) -> Fraction:
 def ehrhart_eval(counts, t: int) -> int:
     """Value at any integer t of the polynomial through the counts at 0,
     1, ...: Newton's forward form, with C(t, k) = t(t-1)...(t-k+1) / k!."""
-    deltas = _forward_differences(counts)
-    if not deltas or type(t) is not int:
-        raise ArgumentError(f"need at least one count and an integer t, got {len(deltas)} counts and t = {t!r}")
-    total, binom = 0, 1
+    counts = tuple(counts)
+    if not counts or type(t) is not int or any(type(c) is not int for c in counts):
+        raise ArgumentError(f"need integer counts, at least one, and an integer t, got {counts!r} and t = {t!r}")
+    deltas, total, binom = _forward_differences(counts), 0, 1
     for k, d in enumerate(deltas):
         total += d * binom
         binom = binom * (t - k) // (k + 1)  # exact: C(t, k + 1) is an integer

@@ -68,8 +68,7 @@ def all_permutations(n: int):
     """All permutations of [n] in lexicographic one-line order."""
     if type(n) is not int or n < 0:
         raise ArgumentError(f"n must be a non-negative integer, got {n!r}")
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation._trusted(images)
+    return map(Permutation._trusted, itertools.permutations(range(1, n + 1)))
 
 
 def _descent_layers(lo, hi):
@@ -148,9 +147,10 @@ def perms_with_descent_set(n: int, dset):
     for it, so no branch dies: the work follows the output, not n!.
     """
     prof = _descent_profile(n, dset)
-    if n == 0:
-        yield Permutation._trusted(())
-        return
+    return _descent_walk(n, prof) if n else iter((Permutation._trusted(()),))
+
+
+def _descent_walk(n: int, prof):
     layers = list(_descent_layers(prof, prof))
     # a state (values left, prefix, r, d): the next value is the r-th
     # smallest left, and the suffix it starts has d descents; with the

@@ -117,8 +117,7 @@ def all_subsets(n: int):
     """All subsets of [n] in canonical order."""
     if type(n) is not int or n < 0:
         raise ArgumentError(f"ground size must be a non-negative integer, got {n!r}")
-    for x in _completions((0,) * n, tuple(range(n, 0, -1))):
-        yield SubsetMask._trusted(n, x)
+    return (SubsetMask._trusted(n, x) for x in _completions((0,) * n, tuple(range(n, 0, -1))))
 
 
 def _require_same_n(s: SubsetMask, t: SubsetMask) -> None:

@@ -12,6 +12,8 @@ readers' rows are empty too.
 
 from collections.abc import Iterator
 
+import pytest
+
 import lpdm
 from lpdm import (
     ArgumentError,
@@ -134,7 +136,11 @@ TABLE = {
     "direct_sum": [],
     "dual": [],
     # the counts 1, 2 interpolate to 1 + t, which reads -2 at t = -3
-    "ehrhart_eval": row(ehrhart_eval, (((1, 2), True), BAD), (((1, 2), 1.0), BAD), (((), 3), BAD), (((1, 2), -3), -2)),
+    "ehrhart_eval": row(
+        ehrhart_eval,
+        (((1, 2), True), BAD), (((1, 2), 1.0), BAD), (((), 3), BAD), (((1, 2), -3), -2),
+        (((1.5, 2), 3), BAD), (((1, True), 3), BAD),
+    ),
     "ehrhart_table": [],
     "ehrhart_volume": [],
     "envelope_bases": [],
@@ -214,3 +220,18 @@ def test_integer_arguments_at_the_boundary():
             if (got, type(got)) != (want, type(want)):
                 wrong.append(f"{name}: {getattr(fn, '__qualname__', fn)}{args!r} gave {got!r}, want {want!r}")
     assert not wrong, "\n".join(wrong)
+
+
+def test_iterators_check_their_arguments_at_the_call():
+    # the error comes from the call itself, before any item is read
+    for call in (
+        lambda: all_subsets(-1),
+        lambda: all_subsets(True),
+        lambda: all_permutations(-1),
+        lambda: all_permutations(2.0),
+        lambda: perms_with_descent_set(-1, ()),
+        lambda: perms_with_descent_set(3, {3}),
+        lambda: perms_with_descent_set(3, {True}),
+    ):
+        with pytest.raises(ArgumentError):
+            call()

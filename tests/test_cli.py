@@ -477,12 +477,61 @@ def test_writers_shape_the_rare_results():
     w = _writers()
     assert w["spec"](m) == {"spec": spec_json(m)} and w["spec"](None) == {"spec": None}
     assert w["component"](None, m, 7) == {"k": 7, "component": None}
+    # a layer lists S and T in ground order
+    relabelled = lpdm.relabel(lpdm.LpdmSpec.of(4, {1}, {2, 3, 4}), (40, 10, -3, 7))
+    assert w["component"](lpdm.homogeneous_component(relabelled, 2), relabelled, 2) == {
+        "k": 2,
+        "component": {"ground": [40, 10, -3, 7], "k": 2, "S": [40, 10], "T": [-3, 7]},
+    }
+    assert w["hrep"](lpdm.hrep(lpdm.LpdmSpec.of(3, {1}, {1, 3}))) == {"n": 3, "a": [1, 0, 0], "b": [2, 1, 1]}
+    assert w["simplices"](lpdm.triangulate_toric(lpdm.LpdmSpec.of(3, {1}, {1, 3}))) == {
+        "count": 2,
+        "simplices": [
+            {"vertices": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, 1]], "perm": [1, 3, 2]},
+            {"vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1]], "perm": [3, 1, 2]},
+        ],
+    }
     assert w["witness"](None) == {"holds": True, "witness": None}
     assert w["witness"]((frozenset({2, 1}), frozenset(), 1)) == {
         "holds": False,
         "witness": {"first": [1, 2], "second": [], "element": 1},
     }
     assert w["rational"](Fraction(4, 6)) == "2/3"
+    assert w["rational"](Fraction(3)) == "3/1" and w["rational"](Fraction(-1, 2)) == "-1/2"
+
+
+def _bit_by_bit(masks, labels):
+    return [[labels[i] for i in range(len(labels)) if x >> i & 1] for x in masks]
+
+
+@pytest.mark.parametrize(
+    "argv, tables",
+    [
+        (["order", "interval", '{"n": 12, "S": [], "T": [1,2,3,4,5,6,7,8,9,10,11,12]}'], True),
+        (["matroid", "feasible", json.dumps({"ground": [9, -4, 17, 0, 230, 5, -61, 8, 3, 44], "S": [], "T": [3, 44]})], True),
+        (["order", "covers", '{"n": 30, "S": [2, 7, 19, 29]}'], False),
+        (["matroid", "feasible", json.dumps({"ground": list(range(101, 131)), "S": [128], "T": [101, 129, 130]})], False),
+        (["order", "interval", '{"n":1200,"S":[],"T":[1200]}'], False),
+    ],
+    ids=["interval-n12", "feasible-signed-n10", "covers-n30", "feasible-n30", "interval-n1200"],
+)
+def test_member_lists_equal_bit_by_bit_spelling(argv, tables):
+    # every member list the CLI writes goes through jsonio.member_lists; on up to 24 labels a family at least
+    # as large as a half table is read from the tables, otherwise each mask is spelled bit by bit
+    res = run(argv)
+    assert res.exit_code == 0, res.payload
+    doc = json.loads(argv[2])
+    if argv[1] == "feasible":
+        spec = parse_spec(doc)
+        masks, labels, listed = lpdm.feasible_sets(spec)._masks, spec.ground, res.payload["members"]
+    else:
+        s = lpdm.SubsetMask(doc["n"], doc["S"])
+        out = lpdm.interval(s, lpdm.SubsetMask(doc["n"], doc["T"])) if argv[1] == "interval" else lpdm.cover_successors(s)
+        masks, labels = [x.bits for x in out], tuple(range(1, doc["n"] + 1))
+        listed = res.payload["members" if argv[1] == "interval" else "successors"]
+    assert tables == (len(labels) <= 24 and 1 << (len(labels) + 1) // 2 <= len(masks))
+    assert res.payload["count"] == len(masks) > 1
+    assert listed == _bit_by_bit(masks, labels)
 
 
 # Random values for the argv flags, kept within bounds whose answers stay

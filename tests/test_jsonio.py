@@ -6,8 +6,6 @@ from lpdm import LpdmSpec, OrderError, PathWord, SetFamily, UsageError, relabel
 from lpdm.jsonio import (
     facet_from_json,
     family_json,
-    frac_str,
-    hrep_json,
     parse_frac,
     parse_int,
     parse_int_list,
@@ -18,7 +16,7 @@ from lpdm.jsonio import (
     parse_word,
     spec_json,
 )
-from lpdm.polytope import Facet, hrep
+from lpdm.polytope import Facet
 
 
 def test_parse_spec_variants():
@@ -73,8 +71,6 @@ def test_parse_subset():
 def test_fractions():
     assert parse_frac("2/4") == Fraction(1, 2)
     assert parse_frac(3) == 3
-    assert frac_str(3) == "3/1"
-    assert frac_str(Fraction(-1, 2)) == "-1/2"
     for bad in (True, 1.5, "x", "1/0", None):
         with pytest.raises(UsageError):
             parse_frac(bad)
@@ -86,14 +82,11 @@ def test_points():
         parse_point("1/2")
 
 
-def test_hrep_and_family_json():
-    assert hrep_json(hrep(LpdmSpec.of(3, {1}, {1, 3}))) == {
-        "n": 3,
-        "a": [1, 0, 0],
-        "b": [2, 1, 1],
-    }
+def test_family_json():
     fam = SetFamily((1, 2), (frozenset({2}), frozenset()))
     assert family_json(fam) == {"ground": [1, 2], "members": [[], [2]]}
+    # labels are listed in ground order, not sorted
+    assert family_json(SetFamily((5, 2), (frozenset({2, 5}),))) == {"ground": [5, 2], "members": [[5, 2]]}
 
 
 def test_facet_from_json():

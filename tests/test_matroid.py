@@ -562,6 +562,16 @@ def test_envelope_bases_match_the_reference():
                     assert envelope_bases(LpdmSpec.of(n, s.members, t.members)).members == canonical_reference(m)
 
 
+def test_envelope_bases_equal_the_validating_constructor():
+    # envelope_bases builds the signed bounds as masks; the public constructor reads them as label sets
+    for n in range(7):
+        for s in all_subsets(n):
+            for t in all_subsets(n):
+                if gale_leq(s, t):
+                    m = LpdmSpec(envelope_ground(n), signed_label_set(s), signed_label_set(t))
+                    assert envelope_bases(LpdmSpec.of(n, s.members, t.members)) == feasible_sets(m), (s, t)
+
+
 def test_public_family_equals_the_mask_built_one():
     checked = 0
     for grounds in NON_STANDARD_GROUNDS.values():

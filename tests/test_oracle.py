@@ -181,6 +181,10 @@ def test_count_suffix_box_validates():
         count_suffix_box((0,), (1, 1), 1)
     with pytest.raises(ArgumentError):
         count_suffix_box((0,), (1,), -1)
+    # bounds are integers: a float or a bool is refused, not compared
+    for lower, upper in (((0.5,), (1.5,)), ((0,), (1.0,)), ((True,), (1,)), ((0, 0), (2, False))):
+        with pytest.raises(ArgumentError):
+            count_suffix_box(lower, upper, 2)
     assert count_suffix_box((), (), 3) == 1
 
 
