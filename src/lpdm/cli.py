@@ -1,24 +1,23 @@
 """Command line front end.
 
 Every subcommand takes one JSON document (plus the odd flag), computes
-with exact arithmetic, and prints a single JSON envelope on stdout:
-``{"status": "ok", "payload": ...}`` or ``{"status": "error", "error":
-{"code": ..., "message": ...}}``.  Stdout is byte-identical for
+with exact arithmetic, and prints one JSON envelope on stdout for any
+argv: ``{"status": "ok", "payload": ...}`` or ``{"status": "error",
+"error": {"code": ..., "message": ...}}``.  Stdout is byte-identical for
 identical inputs; timing and the selftest progress table go to stderr.
 
 Exit codes: 0 success, 1 domain error (or a failed selftest, or an
-output file that cannot be written: code "io"), 2 usage error
-(malformed JSON, bad flags).
+output file that cannot be written: code "io"), 2 usage error (an argv
+that no action takes, malformed JSON, a bad field).
 
 Each action is one row of ``_TABLE`` (its columns are described there):
-``build_parser`` builds every subcommand from the rows, and ``run`` sends
-every row through ``_call``.  Only ``selftest`` has a path of its own: it
-alone prints a table on stderr and exits 1 when a check fails.
+``_parse`` reads argv straight from the rows, and ``run`` sends every row
+through ``_call``.  Only ``selftest`` has a path of its own: it alone
+prints a table on stderr and exits 1 when a check fails.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -39,11 +38,10 @@ class CommandResult(Frozen):
         super().__init__(status, payload, milliseconds, exit_code, log)
 
 
-def _load(ns: argparse.Namespace) -> dict:
+def _load(text: str) -> dict:
     try:
-        obj = json.loads(ns.json)
-    # malformed JSON, an integer past Python's digit limit (both ValueErrors),
-    # or nesting past the recursion limit
+        obj = json.loads(text)
+    # malformed JSON or an integer past Python's digit limit, or nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
         raise UsageError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -51,25 +49,19 @@ def _load(ns: argparse.Namespace) -> dict:
     return obj
 
 
-def _arg(*flags: str, **options) -> tuple:
-    return flags, options
-
-
-_DOC = _arg("json", help="JSON input document")
-
 # One row per action: group, action (None for a top-level command), reader,
-# target, writer, then the row's argparse arguments (default: the document).
-#   reader  the target's arguments, one word each: a word that names a
-#           command-line argument reads it from argv, any other is read
-#           from the JSON document by ``_read``
-#   target  "module:function" in lpdm, imported and looked up when the call
-#           runs: a call loads only its own modules, and a function rebound
-#           on its module from outside is the one called
+# target, writer, and the argv form after the command words (default "json").
+#   reader  the target's arguments, one word each: a word of the form is read
+#           from argv, any other from the JSON document by ``_read``
+#   target  "module:function" in lpdm, imported and looked up when the call runs, so
+#           it loads only its own modules and calls a function rebound on its module
 #   writer  the payload shape, a name in ``_writers()``, where a shape
 #           that only one writer uses is spelled out (a name not there
-#           wraps the result under that key); None for render, whose
-#           payload reports the file that ``--svg`` names
-_TABLE = (
+#           wraps the result under that key); None for render, whose payload
+#           reports the file that ``--svg`` names, and for selftest
+#   form    the argv words: a bare word is positional ("json" is the document),
+#           "--name" is a required flag and "--name=default" an optional one
+_TABLE = tuple((*row, "json")[:6] for row in (
     ("order", "leq", "S T", "subsets:gale_leq", "leq"),
     ("order", "rank", "S", "subsets:gale_rank", "rank"),
     ("order", "interval", "S T", "subsets:interval", "members"),
@@ -99,41 +91,54 @@ _TABLE = (
     ("tri", "subdivide", "spec", "triangulate:subdivide", "cells"),
     ("tri", "volume", "spec", "triangulate:volume", "rational"),
     ("oracle", "volume", "hrep", "oracle:ehrhart_volume", "rational"),
-    ("oracle", "count", "hrep t", "oracle:count_lattice_points", "dilated",
-     _DOC, _arg("--t", type=int, default=1, help="dilation factor (default 1)")),
+    ("oracle", "count", "hrep --t", "oracle:count_lattice_points", "dilated", "json --t=1"),
     ("oracle", "member", "vertices x", "oracle:hull_membership", "member"),
-    ("catalan", None, "n", "matroid:catalan_spec", "catalan", _arg("n", type=int)),
-    ("render", None, "lower upper", "paths:skew_svg", None,
-     _arg("json", help="JSON spec document"), _arg("--svg", required=True, help="output file path")),
-)
-_HELP = {  # of the top-level commands; a group's reads "<group> subcommands"
-    "catalan": "staircase interval on 2n elements",
-    "render": "draw the skew diagram of a spec as SVG",
-}
+    ("catalan", None, "n", "matroid:catalan_spec", "catalan", "n"),
+    ("render", None, "lower upper", "paths:skew_svg", None, "json --svg"),
+    ("selftest", None, "--max-n", "selftest:run_selftest", None, "--max-n=5"),
+))
+_INTS = {"n", "--t", "--max-n"}  # the argv words read as integers
 
 
-@functools.cache  # built on first use, once per process; not at import
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lpdm",
-        description="Exact computations with lattice path interval families and their polytopes.",
-    )
-    tops = parser.add_subparsers(dest="group", required=True)
-    groups = {}  # group name -> the subparsers of its actions
-    for group, action, reader, target, writer, *arguments in _TABLE:
-        if action is None:
-            sub = tops.add_parser(group, help=_HELP[group])
+def _parse(argv: Sequence[str]) -> tuple[tuple, dict]:
+    """The row of ``_TABLE`` that ``argv`` takes, and its argv words by name.
+    A flag may stand anywhere after the command words, as "--name value" or
+    "--name=value".  Any other argv raises a ``UsageError`` that lists the
+    forms of the rows its command words allow."""
+    def fail(reason: str) -> UsageError:
+        forms = (" ".join(["lpdm", *filter(None, row[:2]), row[5]]) for row in rows)
+        return UsageError(f"{reason}; usage: {' | '.join(forms)}")
+
+    rows, rest = _TABLE, list(argv)
+    for column in (0, 1):  # the command words: a group and an action, or a top-level command
+        if rows[0][column] is None:
+            break
+        word = rest.pop(0) if rest else None
+        if not (taken := [row for row in rows if row[column] == word]):
+            raise fail("no command" if word is None else f"unknown command {word!r}")
+        rows = taken
+    (row,) = rows
+    form = row[5].split()
+    places = [w for w in form if w[:2] != "--"]
+    flags = dict(w.partition("=")[::2] for w in form if w[:2] == "--")  # "--name" -> default, "" if required
+    got = {}
+    while rest:
+        word = rest.pop(0)
+        if word[:1] == "-" and not word[1:].isdigit():  # a flag; a negative integer is a positional word
+            name, eq, value = word.partition("=")
+            if name not in flags or name in got or not (eq or rest):
+                raise fail(f"unknown, repeated or valueless flag {word!r}")
+            got[name] = value if eq else rest.pop(0)
+        elif places:
+            got[places.pop(0)] = word
         else:
-            if group not in groups:
-                gp = tops.add_parser(group, help=f"{group} subcommands")
-                groups[group] = gp.add_subparsers(dest="action", required=True)
-            sub = groups[group].add_parser(action)
-        for flags, options in arguments or [_DOC]:
-            sub.add_argument(*flags, **options)
-        sub.set_defaults(call=(reader, target, writer))
-    st = tops.add_parser("selftest", help="run the invariant suite")
-    st.add_argument("--max-n", type=int, default=5, dest="max_n", help="largest ground size (default 5)")
-    return parser
+            raise fail(f"unexpected word {word!r}")
+    if missing := places + [name for name, default in flags.items() if not (name in got or default)]:
+        raise fail(f"missing {' '.join(missing)}")
+    try:  # each flag left out takes its default
+        return row, {name: int(value) if name in _INTS else value for name, value in {**flags, **got}.items()}
+    except ValueError as exc:  # an integer word that int() does not read
+        raise fail(f"not an integer: {exc}") from None
 
 
 def _lib(target: str):
@@ -229,52 +234,45 @@ def _writers() -> dict:
     }
 
 
-def _call(ns: argparse.Namespace, reader: str, target: str, writer: str | None):
-    """One table row: read the arguments, call the target, shape the payload."""
-    obj = _load(ns) if "json" in ns else None
+def _call(given: dict, reader: str, target: str, writer: str | None):
+    """One table row, with its argv words by name in ``given``: read the
+    arguments, call the target, shape the payload."""
+    obj = _load(given["json"]) if "json" in given else None
     spec = functools.cache(lambda: _lib("jsonio:parse_spec")(obj))  # parsed once, when first read
     words = reader.split()
     # the document's own fields first, so a bad one is reported before any value is built
     order = sorted(words, key=_BUILT.__contains__)
-    read = {word: getattr(ns, word) if word in ns else _read(word, obj, spec) for word in order}
+    read = {word: given[word] if word in given else _read(word, obj, spec) for word in order}
     args = [read[word] for word in words]
     out = _lib(target)(*args)
     if writer is None:  # render: the drawing goes to the file that --svg names
-        with open(ns.svg, "w", encoding="utf-8") as fh:
+        with open(given["--svg"], "w", encoding="utf-8") as fh:
             fh.write(out)
-        return {"written": ns.svg, "bytes": len(out.encode("utf-8"))}
+        return {"written": given["--svg"], "bytes": len(out.encode("utf-8"))}
     writers = _writers()
     return writers[writer](out, *args) if writer in writers else {writer: out}
 
 
-def _run_selftest(ns) -> tuple[object, int, str]:
-    from .selftest import run_selftest  # only this command needs the registry
-    rows = run_selftest(ns.max_n)
+def _run_selftest(target: str, max_n: int) -> tuple[object, int, str]:
+    rows = _lib(target)(max_n)  # only this command loads the registry
     width = max(len(r.name) for r in rows)
-    lines = [
-        f"{r.name:<{width}}  {'pass' if r.passed else 'FAIL'}  {r.seconds:8.2f}s  {r.detail}"
-        for r in rows
-    ]
+    lines = [f"{r.name:<{width}}  {'pass' if r.passed else 'FAIL'}  {r.seconds:8.2f}s  {r.detail}" for r in rows]
     good = sum(1 for r in rows if r.passed)
-    lines.append(f"{good}/{len(rows)} checks passed (max_n={ns.max_n})")
-    payload = {
-        "max_n": ns.max_n,
-        "passed": good == len(rows),
-        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in rows],
-    }
-    return payload, 0 if good == len(rows) else 1, "\n".join(lines)
+    lines.append(f"{good}/{len(rows)} checks passed (max_n={max_n})")
+    checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in rows]
+    return {"max_n": max_n, "passed": good == len(rows), "checks": checks}, int(good < len(rows)), "\n".join(lines)
 
 
 def run(argv: Sequence[str] | None = None) -> CommandResult:
-    """Parse ``argv`` and execute; never prints to stdout."""
-    ns = build_parser().parse_args(argv)
+    """Parse ``argv`` (default ``sys.argv[1:]``) and execute; never prints to stdout."""
     start = perf_counter()
     log = ""
     try:
-        if ns.group == "selftest":
-            payload, code, log = _run_selftest(ns)
+        (group, _, reader, target, writer, _), given = _parse(sys.argv[1:] if argv is None else argv)
+        if group == "selftest":
+            payload, code, log = _run_selftest(target, given["--max-n"])
         else:
-            payload, code = _call(ns, *ns.call), 0
+            payload, code = _call(given, reader, target, writer), 0
         status = "ok"
     except LpdmError as exc:
         payload, status, code = {"code": exc.code, "message": str(exc)}, "error", 1
@@ -286,15 +284,8 @@ def run(argv: Sequence[str] | None = None) -> CommandResult:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    try:
-        result = run(argv)
-    except SystemExit as exc:  # argparse has already written its message
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    if result.status == "ok":
-        envelope: dict[str, object] = {"status": "ok", "payload": result.payload}
-    else:
-        envelope = {"status": "error", "error": result.payload}
+    result = run(argv)
+    envelope = {"status": result.status, "payload" if result.status == "ok" else "error": result.payload}
     try:
         print(json.dumps(envelope, sort_keys=True, separators=(",", ":")), flush=True)
     except BrokenPipeError:  # the reader closed stdout early: the rest of it goes nowhere

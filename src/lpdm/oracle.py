@@ -53,13 +53,16 @@ def as_integers(points) -> tuple[int, list[tuple[int, ...]]]:
     """Rational points scaled to integers: (scale, scaled points).
 
     Each coordinate is read as an exact rational (an ``int`` or a
-    ``Fraction`` as it is, anything else through ``Fraction``), and every
-    point is multiplied by the lcm of all the denominators.
+    ``Fraction`` as it is, anything else through ``Fraction``, which must
+    read it), and every point is multiplied by the lcm of the denominators.
     """
     pts = [tuple(p) for p in points]
     if set(map(type, chain.from_iterable(pts))) <= {int}:
         return 1, pts
-    pts = [tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in p) for p in pts]
+    try:
+        pts = [tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in p) for p in pts]
+    except (ArithmeticError, TypeError, ValueError) as exc:  # NaN or infinity, "1/0", not a number
+        raise ArgumentError(f"a coordinate is not a rational: {exc}") from None
     scale = math.lcm(*(c.denominator for c in chain.from_iterable(pts)))
     return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in pts]
 
@@ -319,7 +322,7 @@ def is_edge(points, u, v) -> bool:
 def affine_rank(points) -> int:
     """Dimension of the affine span of the points (0 for a single point)."""
     _, pts = as_integers(points)
-    if not pts:
-        raise ArgumentError("empty point set")
+    if not pts or any(len(p) != len(pts[0]) for p in pts):
+        raise ArgumentError("need a non-empty point set of one dimension")
     base = pts[0]
     return _eliminate([[c - b for c, b in zip(p, base)] for p in pts[1:]])[0]

@@ -80,8 +80,10 @@ def contains(h: HRep, point) -> bool:
 
     scale = 1
     for c, lo, hi in chain([(x, lo, hi)], rows):
-        c = c if isinstance(c, (int, fractions.Fraction)) else fractions.Fraction(c)
-        num, d = c.as_integer_ratio()
+        try:
+            num, d = (c if isinstance(c, (int, fractions.Fraction)) else fractions.Fraction(c)).as_integer_ratio()
+        except (ArithmeticError, TypeError, ValueError):  # NaN or infinity, "1/0", not a number
+            raise ArgumentError(f"not a rational: {c!r}") from None
         if scale % d:
             s, scale = s * (d // math.gcd(scale, d)), math.lcm(scale, d)
         x = num * (scale // d)

@@ -6,11 +6,13 @@ range, and says what each call does: raise the ``LpdmError`` subclass
 given, or answer the value given (an iterator is read out first).  An
 integer argument is accepted only when its type is ``int``, so a
 ``bool`` is refused.  A name that takes no integer argument has an
-empty row; point coordinates are rationals, not integers, so the point
-readers' rows are empty too.
+empty row, but for the point readers: a point coordinate is any exact
+rational (a bool, a float or a string such as "1/2" too), and their rows
+give coordinates that are not rationals, each an ``ArgumentError``.
 """
 
 from collections.abc import Iterator
+from fractions import Fraction
 
 import pytest
 
@@ -24,9 +26,11 @@ from lpdm import (
     Permutation,
     SetFamily,
     SubsetMask,
+    affine_rank,
     all_permutations,
     all_subsets,
     catalan_spec,
+    contains,
     contract,
     count_lattice_points,
     count_perms_in_descent_box,
@@ -40,17 +44,23 @@ from lpdm import (
     feasible_sets,
     homogeneous_component,
     hrep,
+    hull_membership,
+    is_edge,
     is_valid_profile,
     mask_from_profile,
     perms_with_descent_set,
     project_element,
     relabel,
+    simplex_volume,
 )
 
 BAD = ArgumentError
 CUBE = LpdmSpec.of(2, (), {1, 2})  # every subset of [2]
 FAMILY = feasible_sets(CUBE)
 POINT = SubsetMask(1, {1})
+# point coordinates that are not rationals: NaN, infinity (spelled and a float),
+# a word, None, a list, a complex number and a zero denominator
+NOT_RATIONAL = (float("nan"), "x", "inf", float("inf"), None, [1], 1j, "1/0")
 
 
 def row(fn, *cases):
@@ -70,6 +80,11 @@ def descent_row(fn):
 def label_row(fn, target):
     # a label of the ground (1, 2)
     return row(fn, ((target, True), BAD), ((target, 1.0), BAD), ((target, 3), BAD))
+
+
+def point_row(fn, args, *cases):
+    # ``args(c)`` holds one coordinate c; ``cases`` follow
+    return row(fn, *((args(c), BAD) for c in NOT_RATIONAL), *cases)
 
 
 def size_row(fn, low=-1):
@@ -113,7 +128,9 @@ TABLE = {
     "SubsetMask": size_row(SubsetMask)
     + row(SubsetMask, ((2, {True}), BAD), ((2, {1.0}), BAD), ((2, {3}), BAD))
     + row(POINT.__contains__, ((True,), False), ((1.0,), False), ((2,), False), ((1,), True)),
-    "affine_rank": [],
+    "affine_rank": point_row(
+        affine_rank, lambda c: ([(0, 0), (1, c)],), (([(0, 0), (1,)],), BAD), (([(0, 0), (True, "1/2")],), 1)
+    ),
     "all_permutations": size_row(all_permutations),
     "all_subsets": size_row(all_subsets),
     "bounding_path_meets": [],
@@ -121,7 +138,7 @@ TABLE = {
     "chain_to_permutation": [],
     "classify_elements": [],
     "column_heights": [],
-    "contains": [],
+    "contains": point_row(contains, lambda c: (hrep(CUBE), (0, c)), ((hrep(CUBE), (True, 0.5)), True)),
     "contract": label_row(contract, CUBE),
     "count_lattice_points": row(count_lattice_points, ((hrep(CUBE), True), BAD), ((hrep(CUBE), 1.0), BAD), ((hrep(CUBE), -1), BAD)),
     "count_maximal_chains": [],
@@ -165,11 +182,13 @@ TABLE = {
         homogeneous_component, ((CUBE, True), BAD), ((CUBE, 1.0), BAD), ((CUBE, 3), BAD), ((CUBE, -1), BAD)
     ),
     "hrep": [],
-    "hull_membership": [],
+    "hull_membership": point_row(
+        hull_membership, lambda c: ([(0, 0), (1, 1)], (c, 0)), (([(0, 0), (1, 1)], ("1/2", 0.5)), True)
+    ),
     "intersect": [],
     "interval": [],
     "interval_size": [],
-    "is_edge": [],
+    "is_edge": point_row(is_edge, lambda c: ([(1, 0)], (0, 0), (c, 1)), (([(1, 0)], (0, 0), (True, 1.0)), True)),
     "is_linked": [],
     "is_snake": [],
     "is_symmetric": [],
@@ -187,7 +206,9 @@ TABLE = {
     "relabel": row(relabel, ((CUBE, (True, 2)), BAD), ((CUBE, (1.0, 2)), BAD), ((CUBE, (1, 2, 3)), BAD)),
     "signed_label_set": [],
     "simplex_cell": [],
-    "simplex_volume": [],
+    "simplex_volume": point_row(
+        simplex_volume, lambda c: ([(0, 0), (1, 0), (0, c)],), (([(0, 0), (1, 0), ("0", 0.5)],), Fraction(1, 4))
+    ),
     "skew_boxes": [],
     "skew_svg": [],
     "sort_key": [],

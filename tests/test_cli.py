@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import lpdm
 
@@ -194,9 +194,13 @@ def test_usage_error_exit_two(capsys):
 
 
 def test_bad_subcommand_exits_two(capsys):
-    assert main(["bogus"]) == 2
-    assert main([]) == 2
-    capsys.readouterr()
+    for argv in (["bogus"], []):
+        assert main(argv) == 2
+        envelope, _ = payload_of(capsys)
+        assert envelope["status"] == "error" and envelope["error"]["code"] == "usage"
+        # the message lists the argv form of every action
+        assert "lpdm order leq json | " in envelope["error"]["message"]
+        assert envelope["error"]["message"].endswith(" | lpdm selftest --max-n=5")
 
 
 def test_stdout_deterministic(capsys):
@@ -377,9 +381,9 @@ def _doc_rows() -> dict:
     """Every table row that reads a JSON document: its test id, and the
     argv words before and after the document (render writes to the null device)."""
     rows = {}
-    for group, action, _, _, _, *arguments in _TABLE:
-        if arguments and ("json",) not in [flags for flags, _ in arguments]:
-            continue  # catalan reads no document
+    for group, action, _, _, _, form in _TABLE:
+        if "json" not in form.split():
+            continue  # catalan and selftest read no document
         words = [group, action] if action else [group]
         rows["-".join(words)] = (words, ["--svg", os.devnull] if group == "render" else [])
     return rows
@@ -534,13 +538,29 @@ def test_member_lists_equal_bit_by_bit_spelling(argv, tables):
     assert listed == _bit_by_bit(masks, labels)
 
 
+# argv that no table row takes, each run as an explicit example: no words,
+# an unknown group or action, a missing document, an extra word, a repeated
+# or valueless flag, render without --svg, -h and --help at each level, n,
+# --t and --max-n that are not integers, and an abbreviated flag
+_NO_ROW = (
+    [], ["bogus"], ["order", "nope", "{}"], ["order", "leq"], ["catalan"],
+    ["order", "leq", "{}", "extra"], ["oracle", "count", "{}", "--t", "1", "--t=2"], ["oracle", "count", "{}", "--t"],
+    ["render", '{"n":1,"S":[],"T":[1]}'], ["render", "{}", "--png", "x.png"],
+    ["-h"], ["--help"], ["order"], ["order", "-h"], ["order", "leq", "-h"], ["catalan", "-h"], ["selftest", "--help"],
+    ["catalan", "x"], ["catalan", "1.5"], ["oracle", "count", "{}", "--t", "abc"], ["selftest", "--max-n", "1.5"],
+    ["selftest", "--max", "1"],
+)
+
 # Random values for the argv flags, kept within bounds whose answers stay
-# small: catalan's n, oracle count's --t on specs with n <= 4, selftest's
-# --max-n below its minimum, and render --svg into a directory that
-# exists and into one that does not.
+# small: catalan's n, oracle count's --t on specs with n <= 4 (after the
+# document, before it, or as --t=value), selftest's --max-n below its
+# minimum, and render --svg into a directory that exists and into one that
+# does not.
 _flag_argv = st.one_of(
     st.integers(-3, 12).map(lambda n: ["catalan", str(n)]),
     st.builds(lambda spec, t: ["oracle", "count", json.dumps(spec), "--t", str(t)], _spec, st.integers(-2, 4)),
+    st.builds(lambda spec, t: ["oracle", "count", "--t", str(t), json.dumps(spec)], _spec, st.integers(-2, 4)),
+    st.builds(lambda spec, t: ["oracle", "count", json.dumps(spec), f"--t={t}"], _spec, st.integers(-2, 4)),
     st.integers(-2, 0).map(lambda k: ["selftest", "--max-n", str(k)]),
     st.builds(lambda spec, to: ["render", json.dumps(spec), "--svg", to], _spec, st.sampled_from(("x.svg", "missing/x.svg"))),
 )
@@ -549,7 +569,7 @@ _flag_argv = st.one_of(
 @settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_flag_argv)
 def test_every_flag_value_gets_an_envelope(argv, tmp_path, capsys):
-    if argv[0] == "render":
+    if argv[-2:-1] == ["--svg"]:
         argv = argv[:-1] + [str(tmp_path / argv[-1])]
     code = main(argv)
     lines = capsys.readouterr().out.splitlines()
@@ -561,3 +581,9 @@ def test_every_flag_value_gets_an_envelope(argv, tmp_path, capsys):
         assert sorted(envelope) == ["error", "status"] and envelope["status"] == "error", argv
         assert sorted(envelope["error"]) == ["code", "message"], argv
         assert all(isinstance(v, str) for v in envelope["error"].values()), argv
+    if argv in _NO_ROW:
+        assert (code, envelope["error"]["code"]) == (2, "usage"), argv
+
+
+for _argv in _NO_ROW:
+    test_every_flag_value_gets_an_envelope = example(argv=_argv)(test_every_flag_value_gets_an_envelope)

@@ -483,6 +483,13 @@ def test_affine_rank():
         affine_rank([])
 
 
+def test_affine_rank_rejects_points_of_mixed_dimension():
+    # zip would cut each point to the first one's length: the first list read rank 1
+    for pts in ([(0, 0), (1,)], [(0,), (1, 1)], [(0, 0), (1, 1), (2, 0, 5)]):
+        with pytest.raises(ArgumentError):
+            affine_rank(pts)
+
+
 def test_affine_rank_matches_fraction_reference():
     rng = random.Random(7)
     for _ in range(300):
