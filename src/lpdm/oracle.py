@@ -1,4 +1,5 @@
-"""Independent checks: lattice-point counting, exact volumes, exact LP.
+"""Independent checks: lattice-point counting, exact volumes, exact LP,
+exact hull facets.
 
 Nothing in this module knows how the rest of the package computes
 volumes or vertices; it works straight from half-space data and raw
@@ -15,18 +16,22 @@ Importing it loads no other module of the package but ``lpdm.errors``.
 * ``is_edge``              -- midpoint criterion for adjacency of two
   vertices of a 0/1 polytope (no vertex of such a polytope lies inside
   a segment between two others, so the criterion is exact there).
+* ``_hull_facets``         -- the equations of aff(V) and the facets of
+  conv(V) by double description, for many questions about one set.
 
 Every point is read by ``as_integers``, once, and scaled to integers by
 the lcm of its set's denominators; the points and x each keep their own
-lcm.  A point set is read and scaled once per set, not once per query:
-``hull_membership`` and ``is_edge`` both go through its prepared form,
-which holds the scaled points, their box and the signed LP tableau rows.
-Eliminations and pivots are fraction-free.
+lcm.  ``hull_membership`` and ``is_edge`` answer one question each with
+one LP, built straight from the scaled points; the rows ``_hull_facets``
+returns answer any number of membership and adjacency questions about
+one point set by integer dot products.  Eliminations and pivots are
+fraction-free.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -190,6 +195,90 @@ def _reduced(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
+def _dimension(points: list[tuple[int, ...]]) -> int:
+    """The one dimension of a nonempty point set."""
+    if not points:
+        raise ArgumentError("empty point set")
+    n = len(points[0])
+    if any(len(p) != n for p in points):
+        raise ArgumentError("points of mixed dimensions")
+    return n
+
+
+def _dot(row, x) -> int:
+    return sum(map(operator.mul, row, x))
+
+
+def _placed(width: int, cols: list[int], vals: list[int]) -> list[int]:
+    """A row of ``width`` zeros but for ``vals`` at the columns ``cols``."""
+    at = dict(zip(cols, vals))
+    return [at.get(k, 0) for k in range(width)]
+
+
+def _pivots(m: list[list[int]]) -> list[int]:
+    """The pivot columns of the matrix, eliminated in place: the first
+    columns that are independent of the columns before them."""
+    rank, _ = _eliminate(m)
+    return [next(j for j, x in enumerate(row) if x) for row in m[:rank]]
+
+
+def _cofactors(rows: list[list[int]]) -> list[int]:
+    """A null vector of k independent rows of k + 1 integers: entry j is
+    (-1)^j times the minor without column j, divided by the gcd."""
+    out = []
+    for j in range(len(rows) + 1):
+        m = [r[:j] + r[j + 1 :] for r in rows]
+        rank, sign = _eliminate(m)
+        minor = 1 if not m else sign * m[-1][-1] if rank == len(m) else 0
+        out.append(-minor if j % 2 else minor)
+    return _reduced(out)
+
+
+def _hull_facets(scale: int, points: list[tuple[int, ...]]) -> tuple[list[list[int]], list[list[int]]]:
+    """The equations of aff(V) and the facets of conv(V), V the points over
+    ``scale`` (``as_integers`` output), by double description (Motzkin,
+    Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996).
+
+    A row r holds at x = nums / den (den > 0) when r . (den, nums) is 0 for
+    an equation and >= 0 for a facet; x is in conv(V) iff every row holds.
+    The first lifted points (scale, v) independent of those before them are
+    a simplex, and its pivot columns are a chart of aff(V).  The equations
+    are cofactor null vectors of the simplex on the chart and one more
+    column.  On the chart the facets start as the simplex's and take in
+    every other point in turn: a facet the point violates goes, and meets
+    each adjacent facet that the point satisfies strictly in a new facet
+    through the point.  Two facets are adjacent iff no third one holds
+    every point the two share.  The facets are zero off the chart.
+    """
+    n = _dimension(points)
+    lifted = [(scale, *p) for p in points]
+    basis = _pivots([list(col) for col in zip(*lifted)])  # point indices
+    chart = _pivots([list(lifted[i]) for i in basis])  # coordinates, 0 first
+    equations = [
+        _placed(n + 1, [*chart, j], _cofactors([[lifted[i][k] for k in (*chart, j)] for i in basis]))
+        for j in range(n + 1)
+        if j not in chart
+    ]
+    pts = [[w[k] for k in chart] for w in lifted]
+    # each facet on the chart, with the points taken in so far that lie on it as a bit mask
+    facets = []
+    for i in basis:
+        r = _cofactors([pts[b] for b in basis if b != i])
+        facets.append(([-x for x in r] if _dot(r, pts[i]) < 0 else r, sum(1 << b for b in basis if b != i)))
+    for k in sorted(set(range(len(pts))) - set(basis)):
+        vals = [_dot(r, pts[k]) for r, _ in facets]
+        kept = [(r, z | 1 << k if v == 0 else z) for (r, z), v in zip(facets, vals) if v >= 0]
+        for i, (p, zp) in enumerate(facets):
+            for j, (q, zq) in enumerate(facets):
+                common = zp & zq
+                if vals[i] > 0 > vals[j] and not any(
+                    z & common == common for h, (_, z) in enumerate(facets) if h != i and h != j
+                ):
+                    kept.append((_reduced([vals[i] * b - vals[j] * a for a, b in zip(p, q)]), common | 1 << k))
+        facets = kept
+    return equations, [_placed(n + 1, chart, r) for r, _ in facets]
+
+
 def _lp_feasible(rows: list[list[int]], ncols: int) -> bool:
     """Is there lambda >= 0 with sum_j lambda_j * column_j = rhs?
 
@@ -246,65 +335,39 @@ def _pivot(rows: list[list[int]], cost: list[int], entering: int, leaving: int) 
     return _reduced([x * piv - f * y for x, y in zip(cost, prow)])
 
 
-class _Hull:
-    """A point set read once for many hull-membership queries, built from
-    ``as_integers`` output: the points' lcm sp and the scaled points.  It
-    keeps the points as a set, their exact box, and each tableau row of the
-    LP's columns (the points, each with a closing sp) twice, as it is and
-    negated, each with the artificial identity row appended."""
-
-    def __init__(self, scale: int, points: list[tuple[int, ...]]) -> None:
-        if not points:
-            raise ArgumentError("empty point set")
-        self.n = n = len(points[0])
-        if any(len(p) != n for p in points):
-            raise ArgumentError("points of mixed dimensions")
-        self.scale, self.points, self._members = scale, points, set(points)
-        self._box = [(min(col), max(col)) for col in zip(*points)]
-        coeffs = [*map(list, zip(*points)), [scale] * len(points)]
-        ident = [[int(i == k) for k in range(n + 1)] for i in range(n + 1)]
-        self._rows = [(c + e, [-x for x in c] + e) for c, e in zip(coeffs, ident)]
-
-    def member(self, nums, den: int) -> bool:
-        """Is the point nums / den (den > 0) in the hull?"""
-        # in lowest terms, den is x's lcm, the scale ``as_integers`` gives x
-        g = math.gcd(den, *nums)
-        sx, xs = (den // g, [c // g for c in nums]) if g > 1 else (den, nums)
-        sp = self.scale
-        # x can equal a point only if its denominators divide the points' lcm
-        if sp % sx == 0 and tuple(c * (sp // sx) for c in xs) in self._members:
-            return True
-        # the exact bounding box, cross-multiplied to the common scale sp * sx,
-        # skips most of the obvious outsiders
-        if any(not lo * sx <= c * sp <= hi * sx for c, (lo, hi) in zip(xs, self._box)):
-            return False
-        # columns at the points' scale, right-hand side at x's: neither changes
-        # a pivot; each row is copied with the sign its right-hand side picks
-        rows = [signed[c < 0] + [abs(c)] for signed, c in zip(self._rows, [*xs, sx])]
-        return _lp_feasible(rows, len(self.points))
-
-    def edge(self, i: int, j: int) -> bool:
-        """Is the midpoint of points i and j outside the hull of the points
-        equal to neither, read at their own lcm?"""
-        u, v = self.points[i], self.points[j]
-        if u == v:
-            raise ArgumentError("need two distinct vertices")
-        rest = [p for p in self.points if p != u and p != v]
-        if not rest:
-            return True
-        g = math.gcd(self.scale, *chain.from_iterable(rest))
-        rest = [tuple(c // g for c in p) for p in rest] if g > 1 else rest
-        return not _Hull(self.scale // g, rest).member([a + b for a, b in zip(u, v)], 2 * self.scale)
+def _member(scale: int, points: list[tuple[int, ...]], nums, den: int) -> bool:
+    """Is the point nums / den (den > 0) in the hull of the points over
+    ``scale`` (``as_integers`` output)?"""
+    # in lowest terms, den is x's lcm, the scale ``as_integers`` gives x
+    g = math.gcd(den, *nums)
+    sx, xs = (den // g, [c // g for c in nums]) if g > 1 else (den, nums)
+    # x can equal a point only if its denominators divide the points' lcm
+    if scale % sx == 0 and tuple(c * (scale // sx) for c in xs) in points:
+        return True
+    # the exact bounding box, cross-multiplied to the common scale, skips
+    # most of the obvious outsiders
+    if any(not min(col) * sx <= c * scale <= max(col) * sx for c, col in zip(xs, zip(*points))):
+        return False
+    # the LP's columns are the points, each with a closing scale, and its
+    # right-hand side is x with sx: neither scale changes a pivot; each row
+    # is negated where its right-hand side is negative
+    coeffs = [*zip(*points), (scale,) * len(points)]
+    rows = [
+        [-a if b < 0 else a for a in c] + [int(i == k) for k in range(len(coeffs))] + [abs(b)]
+        for i, (c, b) in enumerate(zip(coeffs, [*xs, sx]))
+    ]
+    return _lp_feasible(rows, len(points))
 
 
 def hull_membership(points, x) -> bool:
     """Exact test: is x a convex combination of the given points?  The points
     and x are scaled to integers each by its own lcm, so each stays small."""
-    hull = _Hull(*as_integers(points))
+    scale, pts = as_integers(points)
+    n = _dimension(pts)
     sx, (xs,) = as_integers([x])
-    if len(xs) != hull.n:
-        raise ArgumentError(f"point has {len(xs)} coordinates, expected {hull.n}")
-    return hull.member(xs, sx)
+    if len(xs) != n:
+        raise ArgumentError(f"point has {len(xs)} coordinates, expected {n}")
+    return _member(scale, pts, xs, sx)
 
 
 def is_edge(points, u, v) -> bool:
@@ -316,13 +379,22 @@ def is_edge(points, u, v) -> bool:
     once, and the other points keep their own lcm: doubling them instead
     would reweigh the convexity row and change the phase-one pivots.
     """
-    return _Hull(*as_integers([u, v, *points])).edge(0, 1)
+    scale, pts = as_integers([u, v, *points])
+    _dimension(pts)
+    u, v = pts[0], pts[1]
+    if u == v:
+        raise ArgumentError("need two distinct vertices")
+    rest = [p for p in pts if p != u and p != v]
+    if not rest:
+        return True
+    g = math.gcd(scale, *chain.from_iterable(rest))
+    rest = [tuple(c // g for c in p) for p in rest] if g > 1 else rest
+    return not _member(scale // g, rest, [a + b for a, b in zip(u, v)], 2 * scale)
 
 
 def affine_rank(points) -> int:
     """Dimension of the affine span of the points (0 for a single point)."""
     _, pts = as_integers(points)
-    if not pts or any(len(p) != len(pts[0]) for p in pts):
-        raise ArgumentError("need a non-empty point set of one dimension")
+    _dimension(pts)
     base = pts[0]
     return _eliminate([[c - b for c, b in zip(p, base)] for p in pts[1:]])[0]

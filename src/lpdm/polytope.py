@@ -55,25 +55,46 @@ def hrep(m: LpdmSpec) -> HRep:
     return HRep._trusted(m.n, m.lower_mask().profile, m.upper_mask().profile)
 
 
+def _outside(point: tuple, unread) -> bool:
+    """False, once the coordinates of the point left unread read as rationals.
+    Only their types are read, unless one is not an int or a Fraction."""
+    kinds = set(map(type, unread))
+    if kinds <= {int}:
+        return False
+    import fractions
+
+    if not kinds <= {int, fractions.Fraction}:
+        for c in point:  # the coordinates read already are rationals too
+            if isinstance(c, (int, fractions.Fraction)):  # read as it is, as the loops read it
+                continue
+            try:
+                fractions.Fraction(c)
+            except (ArithmeticError, TypeError, ValueError):  # NaN or infinity, "1/0", not a number
+                raise ArgumentError(f"not a rational: {c!r}") from None
+    return False
+
+
 def contains(h: HRep, point) -> bool:
     """Exact membership test against the half-space description.
 
     The point is read once, from x_n down: ints as they are, and from the
     first coordinate that is not an int on, at a running scale raised to the
-    lcm with each new denominator (the suffix sum so far rescaled with it),
-    so a point that leaves the polytope early reads no further coordinate.
+    lcm with each new denominator (the suffix sum so far rescaled with it).
+    A point that leaves the polytope early only has its remaining
+    coordinates checked to be rationals.
     """
     pt = tuple(point)
     if len(pt) != h.n:
         raise ArgumentError(f"point has {len(pt)} coordinates, expected {h.n}")
-    rows = zip(reversed(pt), reversed(h.lower), reversed(h.upper))
+    xs = reversed(pt)  # zip reads it first, so it holds the coordinates left unread
+    rows = zip(xs, reversed(h.lower), reversed(h.upper))
     s = 0
     for x, lo, hi in rows:
         if type(x) is not int:
             break
         s += x
         if not (0 <= x <= 1 and lo <= s <= hi):
-            return False
+            return _outside(pt, xs)
     else:
         return True
     import fractions
@@ -89,7 +110,7 @@ def contains(h: HRep, point) -> bool:
         x = num * (scale // d)
         s += x
         if not (0 <= x <= scale and lo * scale <= s <= hi * scale):
-            return False
+            return _outside(pt, xs)
     return True
 
 

@@ -2,8 +2,8 @@
 
 Each check is a function ``fn(cap) -> detail`` where ``cap`` bounds the
 ground size; a failed invariant raises :class:`CheckFailure`.  Checks
-clamp expensive sweeps (LP certification, affine-rank scans) to smaller
-sizes on their own, so passing a large cap is always safe.
+clamp expensive sweeps (hull facets, rational draws, affine-rank scans)
+to smaller sizes on their own, so passing a large cap is always safe.
 
 ``CHECKS`` lists every check in a fixed order; ``ACCEPTANCE`` names the
 twelve that gate a release, with the cap each one is expected to run at.
@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
+from operator import and_
 from time import perf_counter
 
 from .errors import ArgumentError, DomainError, Frozen, OrderError
@@ -45,12 +46,12 @@ from .matroid import (
 )
 from .oracle import (
     affine_rank,
-    as_integers,
     count_lattice_points,
     ehrhart_eval,
     ehrhart_table,
     ehrhart_volume,
-    _Hull,
+    _dot,
+    _hull_facets,
     hull_membership,
     is_edge,
     simplex_volume,
@@ -73,7 +74,7 @@ from .perms import (
     eulerian_number,
     permutation_to_chain,
 )
-from .polytope import Facet, contains, dimension, face, hrep, is_linked, vertex_set
+from .polytope import Facet, HRep, contains, dimension, face, hrep, is_linked, vertex_set
 from .subsets import (
     SubsetMask,
     all_subsets,
@@ -549,10 +550,40 @@ def envelope_projection(cap: int) -> str:
 # ---------------------------------------------------------------- polytope
 
 
+def _in_hull(equations, facets, x) -> bool:
+    """Does the point x, in (scale, x) form, satisfy every equation and facet?"""
+    return all(_dot(e, x) == 0 for e in equations) and all(_dot(f, x) >= 0 for f in facets)
+
+
+def _inequalities(h: HRep) -> set[tuple[int, ...]]:
+    """The 4n inequalities of h in (scale, x) form: 0 <= x_i <= 1 and
+    lower_i <= x_i + ... + x_n <= upper_i."""
+    n, rows = h.n, set()
+    for i in range(n):
+        unit = tuple(int(k == i) for k in range(n))
+        suffix = tuple(int(k >= i) for k in range(n))
+        rows |= {(0, *unit), (1, *(-c for c in unit)), (-h.lower[i], *suffix), (h.upper[i], *(-c for c in suffix))}
+    return rows
+
+
+def _hull_edges(verts: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """The pairs i < j of vertices that span an edge: no other vertex lies
+    on every facet that holds both.  Exact when every point is a vertex."""
+    _, facets = _hull_facets(1, verts)
+    on = [sum(1 << k for k, v in enumerate(verts) if _dot(f, (1, *v)) == 0) for f in facets]
+    everything = (1 << len(verts)) - 1
+    return [
+        (i, j)
+        for i, j in combinations(range(len(verts)), 2)
+        if reduce(and_, (z for z in on if z >> i & z >> j & 1), everything) == 1 << i | 1 << j
+    ]
+
+
 def vertex_theorem(cap: int) -> str:
     """The inequality description has exactly the feasible indicator
-    vectors as its 0/1 points, and agrees with the convex hull on
-    rational points."""
+    vectors as its 0/1 points and agrees with the convex hull on rational
+    points; on a full-dimensional spec every facet of the hull is one of
+    its inequalities, so it cuts out exactly the hull."""
     specs = 0
     for m in _specs_upto(min(cap, 6)):
         n = m.n
@@ -564,11 +595,15 @@ def vertex_theorem(cap: int) -> str:
         if count_lattice_points(h, 1) != len(verts):
             raise CheckFailure(f"t=1 lattice count wrong for {m!r}")
         specs += 1
-    lp_points = 0
+    points = 0
     for m in _specs_upto(min(cap, 4)):
         h = hrep(m)
         verts = vertex_set(m)
-        hull = _Hull(*as_integers(verts))
+        equations, facets = _hull_facets(1, verts)
+        if is_linked(m):
+            # V lies in P, so conv(V) = P once every facet of conv(V) is an inequality of P
+            rows = _inequalities(h)
+            _ok(all(tuple(f) in rows for f in facets), f"a facet of the hull of {m!r} is no inequality of it")
         rng = _rng(f"vertex:{m.n}:{sorted(m.lower)}:{sorted(m.upper)}")
         draws = _rational_draws(rng, m.n, 200)
         draws.append((tuple(map(sum, zip(*verts))), len(verts)))  # the barycenter
@@ -576,10 +611,10 @@ def vertex_theorem(cap: int) -> str:
         draws.append((tuple(a + b for a, b in zip(u, v)), 2))
         for nums, den in draws:
             x = tuple(_fraction(c, den) for c in nums)
-            if contains(h, x) != hull.member(nums, den):
+            if contains(h, x) != _in_hull(equations, facets, (den, *nums)):
                 raise CheckFailure(f"membership disagreement at {x} for {m!r}")
-            lp_points += 1
-    return f"{specs} specs 0/1-exact; {lp_points} rational points agree with the hull"
+            points += 1
+    return f"{specs} specs 0/1-exact; {points} rational points agree with the hull"
 
 
 def dimension_formulas(cap: int) -> str:
@@ -830,16 +865,13 @@ def subdivision_cells(cap: int) -> str:
 
 
 def edge_directions(cap: int) -> str:
-    """Every LP-certified edge of an interval polytope steps by a single
-    coordinate or swaps one coordinate for another."""
+    """Every edge of an interval polytope, certified by its facets, steps
+    by a single coordinate or swaps one coordinate for another."""
     hi = min(cap, 4)
     edges = 0
     for m in _specs_upto(hi):
         verts = vertex_set(m)
-        hull = _Hull(*as_integers(verts))
-        for i, j in combinations(range(len(verts)), 2):
-            if not hull.edge(i, j):
-                continue
+        for i, j in _hull_edges(verts):
             u, v = verts[i], verts[j]
             moved = sorted(b - a for a, b in zip(u, v) if a != b)
             if moved not in ([-1], [1], [-1, 1]):

@@ -138,7 +138,10 @@ TABLE = {
     "chain_to_permutation": [],
     "classify_elements": [],
     "column_heights": [],
-    "contains": point_row(contains, lambda c: (hrep(CUBE), (0, c)), ((hrep(CUBE), (True, 0.5)), True)),
+    # a coordinate is checked also when it is left unread: x_2 leaves the cube as an int or a rational
+    "contains": point_row(contains, lambda c: (hrep(CUBE), (0, c)), ((hrep(CUBE), (True, 0.5)), True))
+    + point_row(contains, lambda c: (hrep(CUBE), (c, 5)))
+    + point_row(contains, lambda c: (hrep(CUBE), (c, "5/2")), ((hrep(CUBE), (0.5, 5)), False)),
     "contract": label_row(contract, CUBE),
     "count_lattice_points": row(count_lattice_points, ((hrep(CUBE), True), BAD), ((hrep(CUBE), 1.0), BAD), ((hrep(CUBE), -1), BAD)),
     "count_maximal_chains": [],

@@ -11,6 +11,7 @@ from lpdm import (
     LpdmSpec,
     affine_rank,
     count_lattice_points,
+    dimension,
     ehrhart_eval,
     ehrhart_table,
     ehrhart_volume,
@@ -21,7 +22,8 @@ from lpdm import (
     vertex_set,
 )
 from lpdm import oracle
-from lpdm.oracle import _Hull, as_integers, count_suffix_box
+from lpdm.oracle import _dot, _hull_facets, as_integers, count_suffix_box
+from lpdm.selftest import _hull_edges, _in_hull, _inequalities, _specs_upto
 
 
 # Slow, independent routes: the rational tableau and the rational
@@ -332,25 +334,75 @@ def draw_nums(rng, n):
     return [rng.randint(-2 * d, 2 * d) for _ in range(n)], d
 
 
+def draw_query(rng, pts, n, share):
+    """``draw_nums``, or, with probability ``share``, a convex combination
+    of the points scaled up by k, also as (numerators, one denominator)."""
+    nums, den = draw_nums(rng, n)
+    if rng.random() < share:
+        w = [rng.randint(0, 3) for _ in pts]
+        w[0] += 1
+        x = [sum(wi * p[i] for wi, p in zip(w, pts)) / sum(w) for i in range(n)]
+        k = math.lcm(*(c.denominator for c in x)) * rng.choice((1, 3))
+        nums, den = [int(c * k) for c in x], k
+    return nums, den
+
+
 def test_prepared_hull_matches_the_fraction_tableau():
     rng = random.Random(20261019)
     inside = 0
     for _ in range(100):
         n = rng.randint(1, 4)
         pts = random_cloud(rng, n)
-        hull = _Hull(*as_integers(pts))
         for _ in range(6):
-            nums, den = draw_nums(rng, n)
-            if rng.random() < 0.3:  # a convex combination, scaled up by k
-                w = [rng.randint(0, 3) for _ in pts]
-                w[0] += 1
-                x = [sum(wi * p[i] for wi, p in zip(w, pts)) / sum(w) for i in range(n)]
-                k = math.lcm(*(c.denominator for c in x)) * rng.choice((1, 3))
-                nums, den = [int(c * k) for c in x], k
-            want = hull_membership_reference(pts, [Fraction(c, den) for c in nums])
-            assert hull.member(nums, den) == want, (pts, nums, den)
+            nums, den = draw_query(rng, pts, n, 0.3)
+            x = [Fraction(c, den) for c in nums]
+            want = hull_membership_reference(pts, x)
+            assert hull_membership(pts, x) == want, (pts, nums, den)
             inside += want
     assert 150 < inside < 450  # both answers are well represented
+
+
+def test_double_description_matches_the_fraction_tableau():
+    """x is in the hull iff it is on every equation and facet: rational
+    clouds, with duplicates, of full and of lower dimension."""
+    rng = random.Random(20261020)
+    inside = flat = 0
+    for trial in range(200):
+        n = rng.randint(1, 4)
+        pts = random_cloud(rng, n)
+        if trial % 3 == 0:  # on a hyperplane of one more dimension
+            a = [rng.randint(-2, 2) for _ in range(n)]
+            pts = [(*p, sum(c * q for c, q in zip(a, p)) + Fraction(1, 3)) for p in pts]
+            n += 1
+        equations, facets = _hull_facets(*as_integers(pts))
+        flat += bool(equations)
+        for _ in range(6):
+            nums, den = draw_query(rng, pts, n, 0.4)
+            want = hull_membership_reference(pts, [Fraction(c, den) for c in nums])
+            assert _in_hull(equations, facets, (den, *nums)) == want, (pts, nums, den)
+            inside += want
+    assert 400 < inside < 900 and flat > 80, (inside, flat)  # both answers, and many flat hulls
+
+
+def test_incidence_edges_equal_is_edge_on_every_vertex_set():
+    for m in _specs_upto(4):
+        verts = vertex_set(m)
+        pairs = [(i, j) for i in range(len(verts)) for j in range(i + 1, len(verts))]
+        assert _hull_edges(verts) == [(i, j) for i, j in pairs if is_edge(verts, verts[i], verts[j])], m
+
+
+def test_every_facet_of_a_linked_spec_is_an_inequality():
+    """On a full-dimensional spec the hull has no equation, and each facet,
+    read in lowest terms, is one of the 4n inequalities of ``hrep``."""
+    linked = 0
+    for m in _specs_upto(5):
+        if m.n == dimension(m):
+            equations, facets = _hull_facets(1, vertex_set(m))
+            rows = _inequalities(hrep(m))
+            assert not equations and all(tuple(f) in rows for f in facets), m
+            assert all(math.gcd(*f) == 1 and min(_dot(f, (1, *v)) for v in vertex_set(m)) == 0 for f in facets)
+            linked += 1
+    assert linked == 175
 
 
 def lcm_dropping_clouds(rng, count):
@@ -371,26 +423,25 @@ def test_dropping_a_pair_equals_is_edge_on_the_original_list():
     changed = 0
     for pts in lcm_dropping_clouds(rng, 30):
         scaled = as_integers(pts)
-        hull = _Hull(*scaled)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 u, v = pts[i], pts[j]
                 if scaled[1][i] == scaled[1][j]:
                     with pytest.raises(ArgumentError):
-                        hull.edge(i, j)
+                        is_edge(pts, u, v)
                     continue
                 rest = [p for p, q in zip(pts, scaled[1]) if q not in (scaled[1][i], scaled[1][j])]
                 mid = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(u, v)]
                 want = not rest or not hull_membership_reference(rest, mid)
-                assert hull.edge(i, j) == is_edge(pts, u, v) == want, (pts, i, j)
+                assert is_edge(pts, u, v) == want, (pts, i, j)
                 changed += bool(rest) and as_integers(rest)[0] != scaled[0]
     assert changed > 60, changed
 
 
 def test_pivots_and_rows_are_those_of_the_tableau_built_from_columns(monkeypatch):
-    """Each LP the prepared hull solves pivots as the tableau built from the
-    columns at the points' own lcm does, row for row; the pivots are also
-    those of the Fraction tableau."""
+    """Each LP that ``hull_membership`` and ``is_edge`` solve pivots as the
+    tableau built from the columns at the points' own lcm does, row for row;
+    the pivots are also those of the Fraction tableau."""
     logs = []  # one ([(entering, leaving), ...], [reduced row, ...]) per LP solved
     lp, pivot, reduce = oracle._lp_feasible, oracle._pivot, oracle._reduced
 

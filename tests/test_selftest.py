@@ -91,3 +91,15 @@ def test_rational_draws_reproduce_the_fraction_drawer():
             got = [tuple(Fraction(c, den) for c in nums) for nums, den in st._rational_draws(a, n, count)]
             assert got == rational_points_reference(b, n, count)
             assert a.getstate() == b.getstate()  # the same rng calls, so later draws match too
+
+
+def test_hull_checks_keep_their_detail_strings_at_every_cap():
+    """The hull checks count what they did; the counts are those of the LP
+    hull they replaced, cap by cap (the rational draws stop at n = 4)."""
+    specs = (3, 13, 48, 174, 636, 2352)
+    draws = (606, 2626, 9696, 35148, 35148, 35148)
+    edges = (1, 14, 146, 1366, 1366, 1366)
+    for cap in range(1, 7):
+        i = cap - 1
+        assert st.vertex_theorem(cap) == f"{specs[i]} specs 0/1-exact; {draws[i]} rational points agree with the hull"
+        assert st.edge_directions(cap) == f"{edges[i]} certified edges to n={min(cap, 4)} all use allowed directions"
