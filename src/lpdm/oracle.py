@@ -13,18 +13,16 @@ Importing it loads no other module of the package but ``lpdm.errors``.
 * ``simplex_volume``       -- |det| / n! from rational vertex coordinates.
 * ``hull_membership``      -- integer-tableau phase-one simplex method
   with Bland's rule; decides x in conv(V) exactly.
-* ``is_edge``              -- midpoint criterion for adjacency of two
-  vertices of a 0/1 polytope (no vertex of such a polytope lies inside
-  a segment between two others, so the criterion is exact there).
-* ``_hull_facets``         -- the equations of aff(V) and the facets of
-  conv(V) by double description, for many questions about one set.
+* ``_hull_facets``         -- the equations of aff(V), the facets of
+  conv(V) and the points on each facet, by double description, for many
+  questions about one set; ``_in_hull`` and ``_hull_edges`` read them.
 
 Every point is read by ``as_integers``, once, and scaled to integers by
 the lcm of its set's denominators; the points and x each keep their own
-lcm.  ``hull_membership`` and ``is_edge`` answer one question each with
-one LP, built straight from the scaled points; the rows ``_hull_facets``
-returns answer any number of membership and adjacency questions about
-one point set by integer dot products.  Eliminations and pivots are
+lcm.  ``hull_membership`` answers one question with one LP, built
+straight from the scaled points; the rows ``_hull_facets`` returns answer
+any number of membership and adjacency questions about one point set by
+integer dot products and bit masks.  Eliminations and pivots are
 fraction-free.
 """
 
@@ -33,7 +31,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
+from itertools import chain, combinations
 from typing import TYPE_CHECKING
 
 from .errors import ArgumentError, DomainError
@@ -49,7 +48,6 @@ __all__ = [
     "ehrhart_table",
     "ehrhart_volume",
     "hull_membership",
-    "is_edge",
     "simplex_volume",
 ]
 
@@ -234,8 +232,9 @@ def _cofactors(rows: list[list[int]]) -> list[int]:
     return _reduced(out)
 
 
-def _hull_facets(scale: int, points: list[tuple[int, ...]]) -> tuple[list[list[int]], list[list[int]]]:
-    """The equations of aff(V) and the facets of conv(V), V the points over
+def _hull_facets(scale: int, points: list[tuple[int, ...]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """The equations of aff(V), the facets of conv(V) and, for each facet,
+    the points on it as a bit mask (bit k for point k), V the points over
     ``scale`` (``as_integers`` output), by double description (Motzkin,
     Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996).
 
@@ -276,7 +275,24 @@ def _hull_facets(scale: int, points: list[tuple[int, ...]]) -> tuple[list[list[i
                 ):
                     kept.append((_reduced([vals[i] * b - vals[j] * a for a, b in zip(p, q)]), common | 1 << k))
         facets = kept
-    return equations, [_placed(n + 1, chart, r) for r, _ in facets]
+    return equations, [_placed(n + 1, chart, r) for r, _ in facets], [z for _, z in facets]
+
+
+def _in_hull(equations, facets, x) -> bool:
+    """Does the point x, in (scale, x) form, satisfy every equation and facet?"""
+    return all(_dot(e, x) == 0 for e in equations) and all(_dot(f, x) >= 0 for f in facets)
+
+
+def _hull_edges(verts: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """The pairs i < j of vertices that span an edge: no other vertex lies
+    on every facet that holds both.  Exact when every point is a vertex."""
+    _, _, on = _hull_facets(1, verts)
+    everything = (1 << len(verts)) - 1
+    return [
+        (i, j)
+        for i, j in combinations(range(len(verts)), 2)
+        if reduce(operator.and_, (z for z in on if z >> i & z >> j & 1), everything) == 1 << i | 1 << j
+    ]
 
 
 def _lp_feasible(rows: list[list[int]], ncols: int) -> bool:
@@ -335,61 +351,30 @@ def _pivot(rows: list[list[int]], cost: list[int], entering: int, leaving: int) 
     return _reduced([x * piv - f * y for x, y in zip(cost, prow)])
 
 
-def _member(scale: int, points: list[tuple[int, ...]], nums, den: int) -> bool:
-    """Is the point nums / den (den > 0) in the hull of the points over
-    ``scale`` (``as_integers`` output)?"""
-    # in lowest terms, den is x's lcm, the scale ``as_integers`` gives x
-    g = math.gcd(den, *nums)
-    sx, xs = (den // g, [c // g for c in nums]) if g > 1 else (den, nums)
-    # x can equal a point only if its denominators divide the points' lcm
-    if scale % sx == 0 and tuple(c * (scale // sx) for c in xs) in points:
-        return True
-    # the exact bounding box, cross-multiplied to the common scale, skips
-    # most of the obvious outsiders
-    if any(not min(col) * sx <= c * scale <= max(col) * sx for c, col in zip(xs, zip(*points))):
-        return False
-    # the LP's columns are the points, each with a closing scale, and its
-    # right-hand side is x with sx: neither scale changes a pivot; each row
-    # is negated where its right-hand side is negative
-    coeffs = [*zip(*points), (scale,) * len(points)]
-    rows = [
-        [-a if b < 0 else a for a in c] + [int(i == k) for k in range(len(coeffs))] + [abs(b)]
-        for i, (c, b) in enumerate(zip(coeffs, [*xs, sx]))
-    ]
-    return _lp_feasible(rows, len(points))
-
-
 def hull_membership(points, x) -> bool:
     """Exact test: is x a convex combination of the given points?  The points
     and x are scaled to integers each by its own lcm, so each stays small."""
     scale, pts = as_integers(points)
     n = _dimension(pts)
-    sx, (xs,) = as_integers([x])
+    sx, (xs,) = as_integers([x])  # in lowest terms: gcd(sx, *xs) == 1
     if len(xs) != n:
         raise ArgumentError(f"point has {len(xs)} coordinates, expected {n}")
-    return _member(scale, pts, xs, sx)
-
-
-def is_edge(points, u, v) -> bool:
-    """Are u, v adjacent vertices of the 0/1 polytope conv(points)?
-
-    True iff the midpoint of u and v is not in the hull of the other
-    points.  Valid whenever no vertex lies in the open segment between
-    two others, which holds for 0/1 polytopes.  The set is read and scaled
-    once, and the other points keep their own lcm: doubling them instead
-    would reweigh the convexity row and change the phase-one pivots.
-    """
-    scale, pts = as_integers([u, v, *points])
-    _dimension(pts)
-    u, v = pts[0], pts[1]
-    if u == v:
-        raise ArgumentError("need two distinct vertices")
-    rest = [p for p in pts if p != u and p != v]
-    if not rest:
+    # x can equal a point only if its denominators divide the points' lcm
+    if scale % sx == 0 and tuple(c * (scale // sx) for c in xs) in pts:
         return True
-    g = math.gcd(scale, *chain.from_iterable(rest))
-    rest = [tuple(c // g for c in p) for p in rest] if g > 1 else rest
-    return not _member(scale // g, rest, [a + b for a, b in zip(u, v)], 2 * scale)
+    # the exact bounding box, cross-multiplied to the common scale, skips
+    # most of the obvious outsiders
+    if any(not min(col) * sx <= c * scale <= max(col) * sx for c, col in zip(xs, zip(*pts))):
+        return False
+    # the LP's columns are the points, each with a closing scale, and its
+    # right-hand side is x with sx: neither scale changes a pivot; each row
+    # is negated where its right-hand side is negative
+    coeffs = [*zip(*pts), (scale,) * len(pts)]
+    rows = [
+        [-a if b < 0 else a for a in c] + [int(i == k) for k in range(len(coeffs))] + [abs(b)]
+        for i, (c, b) in enumerate(zip(coeffs, [*xs, sx]))
+    ]
+    return _lp_feasible(rows, len(pts))
 
 
 def affine_rank(points) -> int:

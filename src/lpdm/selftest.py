@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import combinations, product
-from operator import and_
+from functools import lru_cache
+from itertools import product
 from time import perf_counter
 
 from .errors import ArgumentError, DomainError, Frozen, OrderError
@@ -50,10 +49,9 @@ from .oracle import (
     ehrhart_eval,
     ehrhart_table,
     ehrhart_volume,
-    _dot,
+    _hull_edges,
     _hull_facets,
-    hull_membership,
-    is_edge,
+    _in_hull,
     simplex_volume,
 )
 from .paths import (
@@ -550,11 +548,6 @@ def envelope_projection(cap: int) -> str:
 # ---------------------------------------------------------------- polytope
 
 
-def _in_hull(equations, facets, x) -> bool:
-    """Does the point x, in (scale, x) form, satisfy every equation and facet?"""
-    return all(_dot(e, x) == 0 for e in equations) and all(_dot(f, x) >= 0 for f in facets)
-
-
 def _inequalities(h: HRep) -> set[tuple[int, ...]]:
     """The 4n inequalities of h in (scale, x) form: 0 <= x_i <= 1 and
     lower_i <= x_i + ... + x_n <= upper_i."""
@@ -564,19 +557,6 @@ def _inequalities(h: HRep) -> set[tuple[int, ...]]:
         suffix = tuple(int(k >= i) for k in range(n))
         rows |= {(0, *unit), (1, *(-c for c in unit)), (-h.lower[i], *suffix), (h.upper[i], *(-c for c in suffix))}
     return rows
-
-
-def _hull_edges(verts: list[tuple[int, ...]]) -> list[tuple[int, int]]:
-    """The pairs i < j of vertices that span an edge: no other vertex lies
-    on every facet that holds both.  Exact when every point is a vertex."""
-    _, facets = _hull_facets(1, verts)
-    on = [sum(1 << k for k, v in enumerate(verts) if _dot(f, (1, *v)) == 0) for f in facets]
-    everything = (1 << len(verts)) - 1
-    return [
-        (i, j)
-        for i, j in combinations(range(len(verts)), 2)
-        if reduce(and_, (z for z in on if z >> i & z >> j & 1), everything) == 1 << i | 1 << j
-    ]
 
 
 def vertex_theorem(cap: int) -> str:
@@ -599,7 +579,7 @@ def vertex_theorem(cap: int) -> str:
     for m in _specs_upto(min(cap, 4)):
         h = hrep(m)
         verts = vertex_set(m)
-        equations, facets = _hull_facets(1, verts)
+        equations, facets, _ = _hull_facets(1, verts)
         if is_linked(m):
             # V lies in P, so conv(V) = P once every facet of conv(V) is an inequality of P
             rows = _inequalities(h)
@@ -866,7 +846,8 @@ def subdivision_cells(cap: int) -> str:
 
 def edge_directions(cap: int) -> str:
     """Every edge of an interval polytope, certified by its facets, steps
-    by a single coordinate or swaps one coordinate for another."""
+    by a single coordinate or swaps one coordinate for another; the same
+    certificate finds the unit square's four sides and a segment's one edge."""
     hi = min(cap, 4)
     edges = 0
     for m in _specs_upto(hi):
@@ -878,8 +859,8 @@ def edge_directions(cap: int) -> str:
                 raise CheckFailure(f"edge {u} -> {v} of {m!r} uses a forbidden direction")
             edges += 1
     square = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    _ok(not is_edge(square, (0, 0), (1, 1)), "square diagonal certified as an edge")
-    _ok(is_edge([(0, 0), (1, 1)], (0, 0), (1, 1)), "two-point segment rejected")
+    _ok(_hull_edges(square) == [(0, 1), (0, 2), (1, 3), (2, 3)], "square edges are not its four sides")
+    _ok(_hull_edges([(0, 0), (1, 1)]) == [(0, 1)], "two-point segment rejected")
     return f"{edges} certified edges to n={hi} all use allowed directions"
 
 
@@ -962,7 +943,8 @@ def hypersimplex_slabs(cap: int) -> str:
             center = (Fraction(k, n),) * n
             _ok(contains(h, center), f"slab center rejected at n={n}, k={k}")
             if n <= min(cap, 4):
-                _ok(hull_membership(vertex_set(m), center), f"slab center outside the hull at n={n}, k={k}")
+                equations, facets, _ = _hull_facets(1, vertex_set(m))
+                _ok(_in_hull(equations, facets, (n, *(k,) * n)), f"slab center outside the hull at n={n}, k={k}")
             slabs += 1
     return f"{slabs} slabs to n={hi} have Eulerian volumes"
 

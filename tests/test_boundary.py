@@ -45,7 +45,6 @@ from lpdm import (
     homogeneous_component,
     hrep,
     hull_membership,
-    is_edge,
     is_valid_profile,
     mask_from_profile,
     perms_with_descent_set,
@@ -191,7 +190,6 @@ TABLE = {
     "intersect": [],
     "interval": [],
     "interval_size": [],
-    "is_edge": point_row(is_edge, lambda c: ([(1, 0)], (0, 0), (c, 1)), (([(1, 0)], (0, 0), (True, 1.0)), True)),
     "is_linked": [],
     "is_snake": [],
     "is_symmetric": [],

@@ -17,13 +17,12 @@ from lpdm import (
     ehrhart_volume,
     hrep,
     hull_membership,
-    is_edge,
     simplex_volume,
     vertex_set,
 )
 from lpdm import oracle
-from lpdm.oracle import _dot, _hull_facets, as_integers, count_suffix_box
-from lpdm.selftest import _hull_edges, _in_hull, _inequalities, _specs_upto
+from lpdm.oracle import _dot, _hull_edges, _hull_facets, _in_hull, as_integers, count_suffix_box
+from lpdm.selftest import _inequalities, _specs_upto
 
 
 # Slow, independent routes: the rational tableau and the rational
@@ -364,7 +363,8 @@ def test_prepared_hull_matches_the_fraction_tableau():
 
 def test_double_description_matches_the_fraction_tableau():
     """x is in the hull iff it is on every equation and facet: rational
-    clouds, with duplicates, of full and of lower dimension."""
+    clouds, with duplicates, of full and of lower dimension.  Each facet's
+    mask holds exactly the points on it."""
     rng = random.Random(20261020)
     inside = flat = 0
     for trial in range(200):
@@ -374,8 +374,11 @@ def test_double_description_matches_the_fraction_tableau():
             a = [rng.randint(-2, 2) for _ in range(n)]
             pts = [(*p, sum(c * q for c, q in zip(a, p)) + Fraction(1, 3)) for p in pts]
             n += 1
-        equations, facets = _hull_facets(*as_integers(pts))
+        scale, scaled = as_integers(pts)
+        equations, facets, masks = _hull_facets(scale, scaled)
         flat += bool(equations)
+        for f, z in zip(facets, masks, strict=True):
+            assert z == sum(1 << k for k, p in enumerate(scaled) if _dot(f, (scale, *p)) == 0), (pts, f)
         for _ in range(6):
             nums, den = draw_query(rng, pts, n, 0.4)
             want = hull_membership_reference(pts, [Fraction(c, den) for c in nums])
@@ -384,11 +387,20 @@ def test_double_description_matches_the_fraction_tableau():
     assert 400 < inside < 900 and flat > 80, (inside, flat)  # both answers, and many flat hulls
 
 
-def test_incidence_edges_equal_is_edge_on_every_vertex_set():
+def midpoint_edge_reference(verts, i, j):
+    """Vertices i, j of a 0/1 polytope span an edge iff their midpoint is
+    not in the hull of the other vertices (no vertex of such a polytope
+    lies inside a segment between two others)."""
+    rest = [v for k, v in enumerate(verts) if k not in (i, j)]
+    mid = [Fraction(a + b, 2) for a, b in zip(verts[i], verts[j])]
+    return not rest or not hull_membership_reference(rest, mid)
+
+
+def test_incidence_edges_equal_the_midpoint_criterion_on_every_vertex_set():
     for m in _specs_upto(4):
         verts = vertex_set(m)
         pairs = [(i, j) for i in range(len(verts)) for j in range(i + 1, len(verts))]
-        assert _hull_edges(verts) == [(i, j) for i, j in pairs if is_edge(verts, verts[i], verts[j])], m
+        assert _hull_edges(verts) == [(i, j) for i, j in pairs if midpoint_edge_reference(verts, i, j)], m
 
 
 def test_every_facet_of_a_linked_spec_is_an_inequality():
@@ -397,7 +409,7 @@ def test_every_facet_of_a_linked_spec_is_an_inequality():
     linked = 0
     for m in _specs_upto(5):
         if m.n == dimension(m):
-            equations, facets = _hull_facets(1, vertex_set(m))
+            equations, facets, _ = _hull_facets(1, vertex_set(m))
             rows = _inequalities(hrep(m))
             assert not equations and all(tuple(f) in rows for f in facets), m
             assert all(math.gcd(*f) == 1 and min(_dot(f, (1, *v)) for v in vertex_set(m)) == 0 for f in facets)
@@ -418,30 +430,10 @@ def lcm_dropping_clouds(rng, count):
         yield pts
 
 
-def test_dropping_a_pair_equals_is_edge_on_the_original_list():
-    rng = random.Random(99)
-    changed = 0
-    for pts in lcm_dropping_clouds(rng, 30):
-        scaled = as_integers(pts)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                u, v = pts[i], pts[j]
-                if scaled[1][i] == scaled[1][j]:
-                    with pytest.raises(ArgumentError):
-                        is_edge(pts, u, v)
-                    continue
-                rest = [p for p, q in zip(pts, scaled[1]) if q not in (scaled[1][i], scaled[1][j])]
-                mid = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(u, v)]
-                want = not rest or not hull_membership_reference(rest, mid)
-                assert is_edge(pts, u, v) == want, (pts, i, j)
-                changed += bool(rest) and as_integers(rest)[0] != scaled[0]
-    assert changed > 60, changed
-
-
 def test_pivots_and_rows_are_those_of_the_tableau_built_from_columns(monkeypatch):
-    """Each LP that ``hull_membership`` and ``is_edge`` solve pivots as the
-    tableau built from the columns at the points' own lcm does, row for row;
-    the pivots are also those of the Fraction tableau."""
+    """Each LP that ``hull_membership`` solves pivots as the tableau built
+    from the columns at the points' own lcm does, row for row; the pivots
+    are also those of the Fraction tableau."""
     logs = []  # one ([(entering, leaving), ...], [reduced row, ...]) per LP solved
     lp, pivot, reduce = oracle._lp_feasible, oracle._pivot, oracle._reduced
 
@@ -468,14 +460,14 @@ def test_pivots_and_rows_are_those_of_the_tableau_built_from_columns(monkeypatch
         queries = [(pts, [Fraction(c, d) for c in nums]) for nums, d in (draw_nums(rng, n) for _ in range(3))]
         scaled = as_integers(pts)[1]
         j = next((k for k, q in enumerate(scaled) if q != scaled[0]), None)
-        if j is not None:  # the midpoint of points 0 and j against the rest, as is_edge asks it
+        if j is not None:  # the midpoint of points 0 and j against the rest, at the rest's own lcm
             rest = [p for p, q in zip(pts, scaled) if q not in (scaled[0], scaled[j])]
             if rest:
                 queries.append((rest, [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(pts[0], pts[j])]))
         for points, x in queries:
             answer, tableau = lp_steps_reference(points, x)
             before = len(logs)
-            got = hull_membership(points, x) if points is pts else not is_edge(pts, pts[0], pts[j])
+            got = hull_membership(points, x)
             assert got == hull_membership_reference(points, x)
             if tableau is None:
                 assert len(logs) == before and got == answer
@@ -491,13 +483,10 @@ def test_pivots_and_rows_are_those_of_the_tableau_built_from_columns(monkeypatch
     assert solved > 100, solved
 
 
-def test_is_edge_square():
-    assert is_edge(SQUARE, (0, 0), (1, 0))
-    assert is_edge(SQUARE, (0, 0), (0, 1))
-    assert not is_edge(SQUARE, (0, 0), (1, 1))  # diagonal
-    assert is_edge([(0, 0), (1, 1)], (0, 0), (1, 1))  # nothing else left
-    with pytest.raises(ArgumentError):
-        is_edge(SQUARE, (0, 0), (0, 0))
+def test_hull_edges_square():
+    assert _hull_edges(SQUARE) == [(0, 1), (0, 2), (1, 3), (2, 3)]  # the four sides, no diagonal
+    assert _hull_edges([(0, 0), (1, 1)]) == [(0, 1)]  # nothing else left
+    assert _hull_edges([(1, 1)]) == []
 
 
 def as_integers_reference(points):

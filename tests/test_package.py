@@ -19,7 +19,7 @@ count_perms_with_descent_set cover_successors delete dimension direct_sum dual
 ehrhart_eval ehrhart_table ehrhart_volume envelope_bases envelope_ground
 envelope_project eulerian_number eulerian_simplex exchange_witness face
 family_interval_bounds feasible_sets gale_leq gale_rank
-homogeneous_component hrep hull_membership intersect interval interval_size is_edge is_linked
+homogeneous_component hrep hull_membership intersect interval interval_size is_linked
 is_snake is_symmetric is_toric is_valid_profile mask_from_profile path_from_subset
 path_leq path_points permutation_to_chain perms_with_descent_set
 project_element relabel signed_label_set simplex_cell simplex_volume skew_boxes
@@ -29,7 +29,7 @@ vertex_set volume
 
 
 def test_root_names_are_pinned():
-    assert len(ROOT_NAMES) == 79
+    assert len(ROOT_NAMES) == 78
     assert sorted(lpdm.__all__) == sorted(ROOT_NAMES)
     assert all(callable(getattr(lpdm, name)) for name in lpdm.__all__)
     assert not hasattr(lpdm, "count_suffix_box")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lpdm import ArgumentError
+from lpdm import ArgumentError, oracle
 from lpdm import selftest as st
 
 
@@ -91,6 +91,16 @@ def test_rational_draws_reproduce_the_fraction_drawer():
             got = [tuple(Fraction(c, den) for c in nums) for nums, den in st._rational_draws(a, n, count)]
             assert got == rational_points_reference(b, n, count)
             assert a.getstate() == b.getstate()  # the same rng calls, so later draws match too
+
+
+def test_the_selftest_solves_no_lp(monkeypatch):
+    """Every hull question of the selftest is answered by the facet rows."""
+
+    def no_lp(rows, ncols):
+        raise AssertionError("the selftest solved an LP")
+
+    monkeypatch.setattr(oracle, "_lp_feasible", no_lp)
+    assert [(r.name, r.detail) for r in st.run_selftest(2) if not r.passed] == []
 
 
 def test_hull_checks_keep_their_detail_strings_at_every_cap():
