@@ -6,8 +6,9 @@ argv: ``{"status": "ok", "payload": ...}`` or ``{"status": "error",
 "error": {"code": ..., "message": ...}}``.  Stdout is byte-identical for
 identical inputs; timing and the selftest progress table go to stderr.
 
-Exit codes: 0 success, 1 domain error (or a failed selftest, or an
-output file that cannot be written: code "io"), 2 usage error (an argv
+Exit codes: 0 success, 1 domain error (or a failed selftest, an output
+file that cannot be written: code "io", or an answer holding an integer
+too long for JSON to write: code "too-large"), 2 usage error (an argv
 that no action takes, malformed JSON, a bad field).
 
 Each action is one row of ``_TABLE`` (its columns are described there):
@@ -153,24 +154,11 @@ _BUILT = {"hrep": "polytope:hrep", "vertices": "polytope:vertex_set", "family": 
 
 
 def _read(word: str, obj: dict, spec):
-    """The argument that ``word`` names in the document ``obj``: the field
-    of that name, or the document's spec (``spec()``) or a value built from it."""
-    from .jsonio import facet_from_json, parse_int, parse_int_list, parse_object, parse_point
-    from .jsonio import parse_spec, parse_subset, parse_word
-    if word in ("S", "T"):
-        return parse_subset(obj, word)
-    if word in ("element", "k"):
-        return parse_int(obj, word)
-    if word == "x":
-        return parse_point(obj.get(word))
-    if word == "perm":
-        return _lib("perms:Permutation")(tuple(parse_int_list(obj.get(word), word)))
-    if word in ("P", "Q", "word"):
-        return parse_word(obj, word)
-    if word == "facet":
-        return facet_from_json(parse_object(obj, word))
-    if word in ("first", "second"):
-        return parse_spec(parse_object(obj, word))
+    """The argument that ``word`` names in the document ``obj``: the
+    document's spec (``spec()``) or a value built from it, or else the
+    field of that name, as ``jsonio.read`` reads it."""
+    if word not in ("spec", "lower", "upper", *_BUILT):
+        return _lib("jsonio:read")(obj, word)
     m = spec()
     if word in _BUILT:
         return _lib(_BUILT[word])(m)
@@ -283,17 +271,26 @@ def run(argv: Sequence[str] | None = None) -> CommandResult:
     return CommandResult(status, payload, (perf_counter() - start) * 1000.0, code, log)
 
 
+def _envelope(status: str, body: object) -> str:
+    envelope = {"status": status, "payload" if status == "ok" else "error": body}
+    return json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     result = run(argv)
-    envelope = {"status": result.status, "payload" if result.status == "ok" else "error": result.payload}
+    code = result.exit_code
     try:
-        print(json.dumps(envelope, sort_keys=True, separators=(",", ":")), flush=True)
+        text = _envelope(result.status, result.payload)
+    except ValueError as exc:  # an integer past Python's int-to-str digit limit (sys.get_int_max_str_digits)
+        text, code = _envelope("error", {"code": "too-large", "message": f"the answer cannot be written: {exc}"}), 1
+    try:
+        print(text, flush=True)
     except BrokenPipeError:  # the reader closed stdout early: the rest of it goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if result.log:
         print(result.log, file=sys.stderr)
     print(f"lpdm: {result.milliseconds:.1f} ms", file=sys.stderr)
-    return result.exit_code
+    return code
 
 
 if __name__ == "__main__":

@@ -122,17 +122,6 @@ class LpdmSpec(Frozen):
         super().__init__(ground, *masks)
 
     @classmethod
-    def _from_profiles(cls, ground: tuple[int, ...], low, high) -> "LpdmSpec":
-        """A spec built inside the package on a checked ground from two
-        profiles, each with a closing 0, that are valid and ordered:
-        nothing is checked, and the masks start with their profiles."""
-        k = len(ground)
-        masks = [SubsetMask._trusted(k, sum(1 << j for j in range(k) if p[j] > p[j + 1])) for p in (low, high)]
-        for mask, p in zip(masks, (low, high)):
-            mask.__dict__["profile"] = tuple(p[:k])
-        return cls._trusted(ground, *masks)
-
-    @classmethod
     def of(cls, n: int, lower=(), upper=()) -> "LpdmSpec":
         if type(n) is not int or n < 0:
             raise ArgumentError(f"ground size must be a non-negative integer, got {n!r}")
@@ -297,7 +286,9 @@ def _box_spec(ground: tuple[int, ...], lo, hi):
     """The spec on ``ground`` whose feasible sets are the position sets
     with suffix counts in the integer box lo <= . <= hi: its bounds are
     the least profile above lo and the greatest below hi.  None when
-    some low entry exceeds its high entry, as the box then holds none."""
+    some low entry exceeds its high entry, as the box then holds none.
+    The ground is checked already and nothing is checked again; each
+    bound's mask starts with its profile."""
     k = len(ground)
     low, high = [0] * (k + 1), [0] * (k + 1)
     for j in range(k - 1, -1, -1):
@@ -308,7 +299,10 @@ def _box_spec(ground: tuple[int, ...], lo, hi):
         high[j] = min(high[j], high[j - 1])
     if any(x > y for x, y in zip(low, high)):
         return None
-    return LpdmSpec._from_profiles(ground, low, high)
+    masks = [SubsetMask._trusted(k, sum(1 << j for j in range(k) if p[j] > p[j + 1])) for p in (low, high)]
+    for mask, p in zip(masks, (low, high)):
+        mask.__dict__["profile"] = tuple(p[:k])
+    return LpdmSpec._trusted(ground, *masks)
 
 
 def _minor(m: LpdmSpec, label: int, x: int):

@@ -561,9 +561,13 @@ def _inequalities(h: HRep) -> set[tuple[int, ...]]:
 
 def vertex_theorem(cap: int) -> str:
     """The inequality description has exactly the feasible indicator
-    vectors as its 0/1 points and agrees with the convex hull on rational
-    points; on a full-dimensional spec every facet of the hull is one of
-    its inequalities, so it cuts out exactly the hull."""
+    vectors V as its 0/1 points and agrees with the convex hull on rational
+    points.  Every ``hrep`` row has consecutive ones, so its matrix is an
+    interval matrix, totally unimodular, and P is integral (Hoffman and
+    Kruskal 1956): P = conv(V) follows from P ∩ {0,1}^n = V, checked here
+    to n = min(cap, 6).  A second, computational route to n = 4: on a
+    full-dimensional spec every facet of the hull (by double description)
+    is one of the inequalities, so they cut out exactly the hull."""
     specs = 0
     for m in _specs_upto(min(cap, 6)):
         n = m.n

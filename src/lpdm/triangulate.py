@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .errors import ArgumentError, DomainError, Frozen
-from .matroid import LpdmSpec
+from .matroid import LpdmSpec, _box_spec
 from .perms import Permutation, count_perms_in_descent_box, perms_with_descent_set
 from .polytope import is_linked
 from .subsets import SubsetMask, interval, mask_from_profile
@@ -135,16 +135,15 @@ class Subdivision(Frozen):
 def subdivide(m: LpdmSpec) -> Subdivision:
     """Cells [R, R u {n}] for every R between the lower bound and the
     upper bound minus n; their union is the parent polytope and their
-    interiors are disjoint.  Each cell is built from the profile of R,
-    and that profile plus one for R u {n}, with nothing checked again."""
+    interiors are disjoint.  Each cell is the box between the profile of R
+    and that profile plus one, the profile of R u {n}."""
     if m.n == 0:
         raise DomainError("no cell lives on the empty ground")
     if not is_linked(m):
         raise DomainError("only linked (full-dimensional) specs subdivide into cells")
     t_minus = SubsetMask._trusted(m.n, m.upper_mask().bits & ~(1 << m.n - 1))
     cells = tuple(
-        LpdmSpec._from_profiles(m.ground, r.profile + (0,), tuple(c + 1 for c in r.profile) + (0,))
-        for r in interval(m.lower_mask(), t_minus)
+        _box_spec(m.ground, r.profile, tuple(c + 1 for c in r.profile)) for r in interval(m.lower_mask(), t_minus)
     )
     return Subdivision(m, cells)
 

@@ -156,6 +156,20 @@ def test_catalan_counts_without_listing(capsys):
     }
 
 
+def test_an_answer_json_cannot_write_ends_in_one_too_large_envelope(capsys):
+    # the count has 661 digits, past a limit of 640 on int-to-str conversion (4,300 by default)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(["catalan", "1100"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    envelope = json.loads(lines[0])
+    assert envelope["status"] == "error" and envelope["error"]["code"] == "too-large"
+
+
 def test_domain_error_exit_one(capsys):
     assert main(["matroid", "delete", '{"n": 2, "S": [2], "T": [2], "element": 2}']) == 1
     envelope, _ = payload_of(capsys)

@@ -2,21 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from lpdm import LpdmSpec, OrderError, PathWord, SetFamily, UsageError, relabel
-from lpdm.jsonio import (
-    facet_from_json,
-    family_json,
-    parse_frac,
-    parse_int,
-    parse_int_list,
-    parse_object,
-    parse_point,
-    parse_spec,
-    parse_subset,
-    parse_word,
-    spec_json,
-)
+import lpdm.jsonio
+from lpdm import LpdmSpec, OrderError, PathWord, Permutation, SetFamily, UsageError, relabel
+from lpdm.jsonio import family_json, parse_spec, read, spec_json
 from lpdm.polytope import Facet
+
+
+def test_jsonio_exports_read_and_the_shared_shapes():
+    assert sorted(lpdm.jsonio.__all__) == ["family_json", "member_lists", "parse_spec", "read", "spec_json"]
 
 
 def test_parse_spec_variants():
@@ -28,7 +21,7 @@ def test_parse_spec_variants():
 
 def test_parse_spec_errors():
     with pytest.raises(UsageError):
-        parse_spec([1, 2])
+        read({"first": [1, 2]}, "first")
     with pytest.raises(UsageError):
         parse_spec({"n": 2, "S": [1]})
     with pytest.raises(UsageError):
@@ -50,36 +43,36 @@ def test_spec_json_round_trip():
 
 
 def test_parse_int_and_lists():
-    assert parse_int({"n": 4}, "n") == 4
+    # a subset field reads the document's integer n and its own integer array
+    assert read({"n": 4, "S": []}, "S").n == 4
     with pytest.raises(UsageError):
-        parse_int({"n": "4"}, "n")
+        read({"n": "4", "S": []}, "S")
     with pytest.raises(UsageError):
-        parse_int({"n": True}, "n")
+        read({"n": True, "S": []}, "S")
     with pytest.raises(UsageError):
-        parse_int_list("nope", "S")
+        read({"n": 3, "S": "nope"}, "S")
     with pytest.raises(UsageError):
-        parse_int_list([1, 2.5], "S")
+        read({"n": 3, "S": [1, 2.5]}, "S")
 
 
 def test_parse_subset():
-    s = parse_subset({"n": 3, "S": [1, 3]})
+    s = read({"n": 3, "S": [1, 3]}, "S")
     assert s.n == 3 and s.members == frozenset({1, 3})
     with pytest.raises(UsageError):
-        parse_subset({"n": 3})
+        read({"n": 3}, "S")
 
 
 def test_fractions():
-    assert parse_frac("2/4") == Fraction(1, 2)
-    assert parse_frac(3) == 3
+    assert read({"x": ["2/4", 3]}, "x") == (Fraction(1, 2), 3)
     for bad in (True, 1.5, "x", "1/0", None):
-        with pytest.raises(UsageError):
-            parse_frac(bad)
+        with pytest.raises(UsageError, match="^not a rational: "):
+            read({"x": [bad]}, "x")
 
 
 def test_points():
-    assert parse_point(["1/2", 1, "0/1"]) == (Fraction(1, 2), 1, 0)
+    assert read({"x": ["1/2", 1, "0/1"]}, "x") == (Fraction(1, 2), 1, 0)
     with pytest.raises(UsageError):
-        parse_point("1/2")
+        read({"x": "1/2"}, "x")
 
 
 def test_family_json():
@@ -90,10 +83,10 @@ def test_family_json():
 
 
 def test_facet_from_json():
-    assert facet_from_json({"kind": "coordinate", "i": 2, "value": 1}) == Facet(
+    assert read({"facet": {"kind": "coordinate", "i": 2, "value": 1}}, "facet") == Facet(
         "coordinate", 2, 1
     )
-    assert facet_from_json({"kind": "suffix", "i": 1, "side": "upper"}) == Facet(
+    assert read({"facet": {"kind": "suffix", "i": 1, "side": "upper"}}, "facet") == Facet(
         "suffix", 1, "upper"
     )
     for bad in (
@@ -106,30 +99,31 @@ def test_facet_from_json():
         {"kind": "coordinate", "value": 0},
     ):
         with pytest.raises(UsageError):
-            facet_from_json(bad)
+            read({"facet": bad}, "facet")
 
 
 def test_parse_object():
-    doc = {"first": {"n": 1}, "second": [1]}
-    assert parse_object(doc, "first") == {"n": 1}
+    doc = {"first": {"n": 1, "S": [], "T": []}, "second": [1]}
+    assert read(doc, "first") == LpdmSpec.of(1)
     for key, bad in (("second", [1]), ("second", None), ("first", "x"), ("facet", 3), ("facet", [])):
         with pytest.raises(UsageError, match=f"^'{key}' must be a JSON object$"):
-            parse_object({**doc, key: bad}, key)
-    with pytest.raises(UsageError, match="^'missing' must be a JSON object$"):
-        parse_object(doc, "missing")
+            read({**doc, key: bad}, key)
+    with pytest.raises(UsageError, match="^'facet' must be a JSON object$"):
+        read(doc, "facet")
+    with pytest.raises(KeyError):
+        read(doc, "missing")
 
 
 def test_parse_word():
-    assert parse_word({"P": "ENNE"}, "P") == PathWord("ENNE")
+    assert read({"P": "ENNE"}, "P") == PathWord("ENNE")
     for key in ("P", "Q", "word"):
         for bad in (5, None, ["E", "N"], True, {"E": 1}):
             with pytest.raises(UsageError, match=f"^'{key}' must be a step word string$"):
-                parse_word({key: bad}, key)
+                read({key: bad}, key)
 
 
 def test_parse_int_list_rejects_bools_and_strings():
-    # the perm of ``tri label`` is read this way
-    assert parse_int_list([3, 1, 2], "perm") == [3, 1, 2]
+    assert read({"perm": [3, 1, 2]}, "perm") == Permutation((3, 1, 2))
     for bad in ([1, True], [False], ["1", 2], [2, "1"], [1.0], "12", None):
         with pytest.raises(UsageError, match="^field 'perm' must be an array of integers$"):
-            parse_int_list(bad, "perm")
+            read({"perm": bad}, "perm")

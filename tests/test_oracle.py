@@ -403,6 +403,37 @@ def test_incidence_edges_equal_the_midpoint_criterion_on_every_vertex_set():
         assert _hull_edges(verts) == [(i, j) for i, j in pairs if midpoint_edge_reference(verts, i, j)], m
 
 
+def square_edges_reference(verts):
+    """The edges of a spec polytope by the square rule, found by neighbour
+    lookup: u and v span an edge iff they differ in one coordinate, or v is
+    u less e_i plus e_j and the other two corners of that square, u ∧ v =
+    u - e_i and u ∨ v = u + e_j, are not both vertices."""
+    index = {v: k for k, v in enumerate(verts)}
+    edges = set()
+    for u, k in index.items():
+        for i in range(len(u)):
+            flip = index.get(u[:i] + (1 - u[i],) + u[i + 1 :])
+            if flip is not None:
+                edges.add((min(k, flip), max(k, flip)))
+            for j in range(len(u)):
+                if u[i] > u[j]:
+                    meet, join = u[:i] + (0,) + u[i + 1 :], u[:j] + (1,) + u[j + 1 :]
+                    swap = index.get(meet[:j] + (1,) + meet[j + 1 :])
+                    if swap is not None and not (meet in index and join in index):
+                        edges.add((min(k, swap), max(k, swap)))
+    return sorted(edges)
+
+
+def test_the_square_rule_gives_the_incidence_edges_on_every_spec():
+    edges = 0
+    for m in _specs_upto(5):
+        verts = vertex_set(m)
+        want = _hull_edges(verts)
+        assert square_edges_reference(verts) == want, m
+        edges += len(want)
+    assert edges == 12136
+
+
 def test_every_facet_of_a_linked_spec_is_an_inequality():
     """On a full-dimensional spec the hull has no equation, and each facet,
     read in lowest terms, is one of the 4n inequalities of ``hrep``."""

@@ -56,7 +56,7 @@ def test_a_submodule_name_loads_that_module_alone():
     loaded = "print(sorted(m for m in sys.modules if m.startswith('lpdm')))"
     jsonio_only = "['lpdm', 'lpdm.errors', 'lpdm.jsonio']"
     assert _fresh("from lpdm import jsonio; " + loaded) == jsonio_only
-    assert _fresh("import lpdm; lpdm.jsonio.parse_object; " + loaded) == jsonio_only
+    assert _fresh("import lpdm; lpdm.jsonio.read; " + loaded) == jsonio_only
     # the public names still resolve and list as before, after or without it
     probe = "import lpdm; {}print(lpdm.volume.__module__, dir(lpdm) == {!r})"
     for first in ("", "from lpdm import jsonio, polytope; "):

@@ -39,6 +39,7 @@ from lpdm import (
 )
 from lpdm.cli import CommandResult
 from lpdm.errors import Frozen
+from lpdm.matroid import _box_spec
 from lpdm.selftest import CheckResult
 
 SPEC = LpdmSpec.of(4, {1}, {2, 4})
@@ -162,7 +163,7 @@ def test_equality_needs_the_same_class():
 
 def test_trusted_spec_equals_the_validated_one():
     checked = LpdmSpec((1, 2, 3, 4), frozenset({1}), frozenset({2, 4}))
-    trusted = LpdmSpec._from_profiles((1, 2, 3, 4), (1, 0, 0, 0, 0), (2, 2, 1, 1, 0))
+    trusted = _box_spec((1, 2, 3, 4), (1, 0, 0, 0), (2, 2, 1, 1))
     assert trusted == checked and checked == trusted
     assert hash(trusted) == hash(checked)
     assert repr(trusted) == repr(checked) == SAMPLES["LpdmSpec"][1]
@@ -170,7 +171,7 @@ def test_trusted_spec_equals_the_validated_one():
     assert trusted.lower_mask() is not checked.lower_mask()
     assert "_lower_mask" not in repr(checked) and "_upper_mask" not in repr(checked)
     assert trusted.lower_mask().profile == checked.lower_mask().profile == (1, 0, 0, 0)
-    assert trusted != LpdmSpec._from_profiles((1, 2, 3, 4), (1, 0, 0, 0, 0), (2, 1, 1, 1, 0))
+    assert trusted != _box_spec((1, 2, 3, 4), (1, 0, 0, 0), (2, 1, 1, 1))
 
 
 @pytest.mark.parametrize("name", list(SAMPLES))
