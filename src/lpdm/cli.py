@@ -184,6 +184,11 @@ def _writers() -> dict:
         shape = spec_json(m)
         return {"ground": list(m.ground), "k": k, "S": shape["S"], "T": shape["T"]}
 
+    def simplices(perms, *_) -> dict:
+        simplex = _lib("triangulate:eulerian_simplex")
+        listed = [{"vertices": [list(v) for v in simplex(w)], "perm": list(w.images)} for w in perms]
+        return {"count": len(perms), "simplices": listed}
+
     def catalan(m, n) -> dict:
         count = _lib("subsets:interval_size")(m.lower_mask(), m.upper_mask())
         return {"n": n, "spec": spec_json(m), "count": count}
@@ -205,18 +210,15 @@ def _writers() -> dict:
         "projection": projection,
         "hrep": lambda h, *_: {"n": h.n, "a": list(h.lower), "b": list(h.upper)},
         "dim": lambda d, m: {"dimension": d, "linked": _lib("polytope:is_linked")(m)},
-        "face": lambda res, *_: {
-            "kind": res.kind,
+        "face": lambda res, m, facet: {
+            "kind": f"{facet.kind}-{facet.level}",
             "family": family_json(res.family),
             "factors": None if res.factors is None else [spec_json(f) for f in res.factors],
         },
         "vertices": lambda out, *_: {"count": len(out), "vertices": [list(v) for v in out]},
-        "simplices": lambda out, *_: {
-            "count": len(out),
-            "simplices": [{"vertices": [list(v) for v in x.vertices], "perm": list(x.perm.images)} for x in out],
-        },
+        "simplices": simplices,
         "cells": lambda sub, *_: {"count": len(sub.cells), "cells": [spec_json(c) for c in sub.cells]},
-        "rational": lambda q, *_: f"{q.numerator}/{q.denominator}",
+        "rational": lambda q, *_: q,  # a Fraction, which ``_envelope`` writes p/q
         "dilated": lambda count, h, t: {"t": t, "count": count},
         "catalan": catalan,
     }
@@ -272,8 +274,11 @@ def run(argv: Sequence[str] | None = None) -> CommandResult:
 
 
 def _envelope(status: str, body: object) -> str:
+    """The envelope's text, the one place an answer becomes text: a Fraction is written "p/q"."""
     envelope = {"status": status, "payload" if status == "ok" else "error": body}
-    return json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+    return json.dumps(
+        envelope, sort_keys=True, separators=(",", ":"), default=lambda q: f"{q.numerator}/{q.denominator}"
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -162,7 +162,7 @@ class FaceResult(Frozen):
     face it is None.
     """
 
-    _fields = ("family", "factors", "kind")
+    _fields = ("family", "factors")
 
 
 def face(m: LpdmSpec, facet: Facet) -> FaceResult:
@@ -180,19 +180,15 @@ def face(m: LpdmSpec, facet: Facet) -> FaceResult:
         raise ArgumentError(f"facet index {facet.index} outside [1, {m.n}]")
     i = facet.index
     a, b = list(m.lower_mask().profile), list(m.upper_mask().profile)
-    fix = None
-    if facet.kind == "coordinate":
-        fix = (i, facet.level)
-        kind = f"coordinate-{facet.level}"
-    else:
+    fix = (i, facet.level) if facet.kind == "coordinate" else None
+    if fix is None:
         target = (a if facet.level == "lower" else b)[i - 1]
         a[i - 1] = b[i - 1] = target
-        kind = f"suffix-{facet.level}"
 
     masks = _completions(a, b, fix)
     family = SetFamily._trusted(m.ground, masks)
     if not masks:
-        return FaceResult(family, None, kind)
+        return FaceResult(family, None)
 
     label = m.ground[i - 1]
     if facet.kind == "coordinate":
@@ -201,4 +197,4 @@ def face(m: LpdmSpec, facet: Facet) -> FaceResult:
     else:
         below = _box_spec(m.ground[: i - 1], [x - target for x in a[: i - 1]], [y - target for y in b[: i - 1]])
         factors = (below, _box_spec(m.ground[i - 1 :], a[i - 1 :], b[i - 1 :]))
-    return FaceResult(family, factors, kind)
+    return FaceResult(family, factors)

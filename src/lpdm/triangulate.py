@@ -25,14 +25,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ArgumentError, DomainError, Frozen
-from .matroid import LpdmSpec, _box_spec
+from .errors import DomainError, Frozen
+from .matroid import LpdmSpec
 from .perms import Permutation, count_perms_in_descent_box, perms_with_descent_set
 from .polytope import is_linked
 from .subsets import SubsetMask, interval, mask_from_profile
 
 __all__ = [
-    "LatticeSimplex",
     "Subdivision",
     "eulerian_simplex",
     "is_toric",
@@ -43,37 +42,9 @@ __all__ = [
 ]
 
 
-class LatticeSimplex(Frozen):
-    """n+1 integer vertices in R^n, tagged with the permutation that
-    produced them (when any)."""
-
-    _fields = ("vertices", "perm")
-
-    def __init__(self, vertices: tuple[tuple[int, ...], ...], perm: Permutation | None = None) -> None:
-        verts = tuple(map(tuple, vertices))
-        if not verts:
-            raise ArgumentError("a simplex needs vertices")
-        n = len(verts[0])
-        if any(len(v) != n for v in verts) or len(verts) != n + 1:
-            raise ArgumentError("need exactly n+1 vertices of equal dimension n")
-        if any(type(c) is not int for v in verts for c in v):
-            raise ArgumentError(f"simplex coordinates must be ints: {verts!r}")
-        if perm is not None and not (type(perm) is Permutation and perm.n == n):
-            raise ArgumentError(f"a simplex in dimension {n} takes a permutation of [{n}], not {perm!r}")
-        super().__init__(verts, perm)
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices[0])
-
-    def barycenter(self) -> tuple[Fraction, ...]:
-        k = len(self.vertices)
-        return tuple(Fraction(sum(c), k) for c in zip(*self.vertices))
-
-
-def eulerian_simplex(w: Permutation) -> LatticeSimplex:
-    """The cube simplex attached to w: the image of the order simplex of
-    the chain x_{w(1)} <= ... <= x_{w(n)} under the shear above.
+def eulerian_simplex(w: Permutation) -> tuple[tuple[int, ...], ...]:
+    """The n+1 vertices of the cube simplex attached to w: the image of the
+    order simplex of the chain x_{w(1)} <= ... <= x_{w(n)} under the shear above.
 
     Vertices are listed bottom-up along the chain (all-zeros image
     first), so vertex k is the image of the indicator of the top k
@@ -89,7 +60,7 @@ def eulerian_simplex(w: Permutation) -> LatticeSimplex:
         if v < n:
             y[n - v - 1] -= 1
         verts.append(tuple(y))
-    return LatticeSimplex._trusted(tuple(verts), w)
+    return tuple(verts)
 
 
 def simplex_cell(w: Permutation) -> SubsetMask:
@@ -100,7 +71,7 @@ def simplex_cell(w: Permutation) -> SubsetMask:
     n = w.n
     if n == 0:
         raise DomainError("the empty permutation lies in no cell: a cell needs n >= 1")
-    verts = eulerian_simplex(w).vertices
+    verts = eulerian_simplex(w)
     return mask_from_profile(tuple(min(sum(v[i:]) for v in verts) for i in range(n)))
 
 
@@ -113,39 +84,35 @@ def is_toric(m: LpdmSpec) -> bool:
     return not s & top and m.upper_mask().bits == s | top
 
 
-def triangulate_toric(m: LpdmSpec) -> list[LatticeSimplex]:
-    """All Eulerian simplices lying in the given cell, sorted by their
-    permutations: those of w = u^{-1} for the u with descent set
-    {n - s : s in S}."""
+def triangulate_toric(m: LpdmSpec) -> list[Permutation]:
+    """The permutations w whose Eulerian simplices (``eulerian_simplex``)
+    lie in the given cell, sorted by their images: w = u^{-1} for the u
+    with descent set {n - s : s in S}."""
     if not is_toric(m):
         raise DomainError("spec is not a toric cell [S, S u {n}]")
     n = m.n
     descents = [n - s for s in m.lower_mask().as_tuple()]
-    out = [eulerian_simplex(u.inverse()) for u in perms_with_descent_set(n, descents)]
-    out.sort(key=lambda simp: simp.perm.images)
-    return out
+    return sorted((u.inverse() for u in perms_with_descent_set(n, descents)), key=lambda w: w.images)
 
 
 class Subdivision(Frozen):
     """A linked interval polytope written as a union of toric cells."""
 
-    _fields = ("parent", "cells")
+    _fields = ("cells",)
 
 
 def subdivide(m: LpdmSpec) -> Subdivision:
     """Cells [R, R u {n}] for every R between the lower bound and the
     upper bound minus n; their union is the parent polytope and their
-    interiors are disjoint.  Each cell is the box between the profile of R
-    and that profile plus one, the profile of R u {n}."""
+    interiors are disjoint."""
     if m.n == 0:
         raise DomainError("no cell lives on the empty ground")
     if not is_linked(m):
         raise DomainError("only linked (full-dimensional) specs subdivide into cells")
-    t_minus = SubsetMask._trusted(m.n, m.upper_mask().bits & ~(1 << m.n - 1))
-    cells = tuple(
-        _box_spec(m.ground, r.profile, tuple(c + 1 for c in r.profile)) for r in interval(m.lower_mask(), t_minus)
-    )
-    return Subdivision(m, cells)
+    n, top = m.n, 1 << m.n - 1
+    t_minus = SubsetMask._trusted(n, m.upper_mask().bits & ~top)
+    ranks = interval(m.lower_mask(), t_minus)
+    return Subdivision(tuple(LpdmSpec._trusted(m.ground, r, SubsetMask._trusted(n, r.bits | top)) for r in ranks))
 
 
 def volume(m: LpdmSpec) -> Fraction:

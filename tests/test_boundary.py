@@ -21,7 +21,6 @@ from lpdm import (
     ArgumentError,
     Facet,
     HRep,
-    LatticeSimplex,
     LpdmSpec,
     Permutation,
     SetFamily,
@@ -110,7 +109,6 @@ TABLE = {
         ((True, (1,), (1,)), BAD), ((1.0, (1,), (1,)), BAD), ((-1, (), ()), BAD),
         ((2, (True, False), (2, 1)), BAD), ((2, (1.0, 0), (2, 1)), BAD), ((2, (2, 0), (2, 1)), BAD),
     ),
-    "LatticeSimplex": row(LatticeSimplex, ((((0,), (True,)),), BAD), ((((0,), (1.0,)),), BAD), ((((0,), (1,), (2,)),), BAD)),
     "LpdmSpec": row(
         LpdmSpec,
         (((True, 2), (), ()), BAD), (((1.0, 2), (), ()), BAD), (((1, 2), {True}, {2}), BAD), (((1, 2), (), {3}), BAD),

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import lpdm
 
-from lpdm.cli import _TABLE, CommandResult, _read as read, _writers, main, run
+from lpdm.cli import _TABLE, CommandResult, _envelope, _read as read, _writers, main, run
 from lpdm.jsonio import parse_spec, spec_json
 
 
@@ -157,17 +157,19 @@ def test_catalan_counts_without_listing(capsys):
 
 
 def test_an_answer_json_cannot_write_ends_in_one_too_large_envelope(capsys):
-    # the count has 661 digits, past a limit of 640 on int-to-str conversion (4,300 by default)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        code = main(["catalan", "1100"])
-    finally:
-        sys.set_int_max_str_digits(limit)
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1 and len(lines) == 1
-    envelope = json.loads(lines[0])
-    assert envelope["status"] == "error" and envelope["error"]["code"] == "too-large"
+    # past a limit of 640 on int-to-str conversion (4,300 by default): the catalan count has 661 digits,
+    # and the volume of the cell [{}, {330}] is 1/330!, whose denominator has 684
+    for argv in (["catalan", "1100"], ["tri", "volume", '{"n":330,"S":[],"T":[330]}']):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = main(argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1, argv
+        envelope = json.loads(lines[0])
+        assert envelope["status"] == "error" and envelope["error"]["code"] == "too-large", argv
 
 
 def test_domain_error_exit_one(capsys):
@@ -417,7 +419,7 @@ def test_every_document_gets_an_envelope(row, doc):
     if res.status == "error":
         assert sorted(res.payload) == ["code", "message"]
         assert all(isinstance(v, str) for v in res.payload.values())
-    json.dumps(res.payload, sort_keys=True)
+    _envelope(res.status, res.payload)  # main writes it
 
 
 # Documents the JSON decoder cannot read: nesting past its recursion limit
@@ -490,6 +492,14 @@ def test_a_coordinate_facet_reads_its_value_as_an_integer():
     assert (res.exit_code, res.payload) == (2, {"code": "usage", "message": "coordinate facet needs 'value' 0 or 1"})
 
 
+def test_a_face_payload_names_its_facet():
+    coordinate = {"n": 5, "S": [1, 3], "T": [2, 3, 5], "facet": {"kind": "coordinate", "i": 3, "value": 1}}
+    suffix = {"n": 2, "S": [], "T": [1, 2], "facet": {"kind": "suffix", "i": 2, "side": "lower"}}
+    for doc, kind, count in ((coordinate, "coordinate-1", 9), (suffix, "suffix-lower", 2)):
+        res = run(["polytope", "face", json.dumps(doc)])
+        assert (res.exit_code, res.payload["kind"], len(res.payload["family"]["members"])) == (0, kind, count)
+
+
 def test_writers_shape_the_rare_results():
     m = lpdm.LpdmSpec.of(3, {1}, {2, 3})
     w = _writers()
@@ -514,8 +524,11 @@ def test_writers_shape_the_rare_results():
         "holds": False,
         "witness": {"first": [1, 2], "second": [], "element": 1},
     }
-    assert w["rational"](Fraction(4, 6)) == "2/3"
-    assert w["rational"](Fraction(3)) == "3/1" and w["rational"](Fraction(-1, 2)) == "-1/2"
+    # a rational stays a Fraction until the envelope writes it
+    assert w["rational"](Fraction(4, 6)) == Fraction(2, 3)
+    assert _envelope("ok", Fraction(4, 6)) == '{"payload":"2/3","status":"ok"}'
+    assert _envelope("ok", Fraction(3)) == '{"payload":"3/1","status":"ok"}'
+    assert _envelope("ok", Fraction(-1, 2)) == '{"payload":"-1/2","status":"ok"}'
 
 
 def _bit_by_bit(masks, labels):

@@ -10,7 +10,7 @@ import lpdm.jsonio
 # The package root: every public name of the library modules and the five
 # error classes, with the oracle's count_suffix_box and jsonio left out.
 ROOT_NAMES = """
-ArgumentError DomainError FaceResult Facet HRep LatticeSimplex LpdmError
+ArgumentError DomainError FaceResult Facet HRep LpdmError
 LpdmSpec OrderError PathWord Permutation SetFamily Subdivision SubsetMask
 UsageError affine_rank all_permutations all_subsets bounding_path_meets catalan_spec
 chain_to_permutation classify_elements column_heights contains contract
@@ -29,7 +29,7 @@ vertex_set volume
 
 
 def test_root_names_are_pinned():
-    assert len(ROOT_NAMES) == 78
+    assert len(ROOT_NAMES) == 77
     assert sorted(lpdm.__all__) == sorted(ROOT_NAMES)
     assert all(callable(getattr(lpdm, name)) for name in lpdm.__all__)
     assert not hasattr(lpdm, "count_suffix_box")

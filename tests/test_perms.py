@@ -216,6 +216,8 @@ def test_permutation_to_chain_needs_matching_start():
     w = Permutation((2, 1))
     with pytest.raises(DomainError):
         permutation_to_chain(w, SubsetMask(2, frozenset()))  # descent set is {1}
+    with pytest.raises(ArgumentError):
+        permutation_to_chain(w, SubsetMask(3, frozenset({1})))  # a start on [3]
 
 
 def test_chain_to_permutation_rejects_chains_off_the_cell():

@@ -87,6 +87,8 @@ def test_gale_leq_worked_pairs():
 def test_gale_leq_requires_same_ground():
     with pytest.raises(ArgumentError):
         gale_leq(mask(2, 1), mask(3, 1))
+    with pytest.raises(ArgumentError):  # and so does the selftest's pairwise reference
+        gale_leq_definitional(mask(2, 1), mask(3, 1))
 
 
 def test_rank_is_member_sum():

@@ -10,7 +10,6 @@ from lpdm import (
     FaceResult,
     Facet,
     HRep,
-    LatticeSimplex,
     LpdmSpec,
     PathWord,
     Permutation,
@@ -67,22 +66,15 @@ SAMPLES = {
         lambda: face(SPEC, Facet("coordinate", 1, 1)),
         "FaceResult(family=SetFamily(ground=(1, 2, 3, 4), members=(frozenset({1}), frozenset({1, 2}), "
         "frozenset({1, 3}), frozenset({1, 4}))), factors=(LpdmSpec(ground=(1,), lower=frozenset({1}), "
-        "upper=frozenset({1})), LpdmSpec(ground=(2, 3, 4), lower=frozenset(), upper=frozenset({4}))), "
-        "kind='coordinate-1')",
+        "upper=frozenset({1})), LpdmSpec(ground=(2, 3, 4), lower=frozenset(), upper=frozenset({4}))))",
     ),
-    "LatticeSimplex": (
-        lambda: triangulate_toric(LpdmSpec.of(3, {1}, {1, 3}))[0],
-        "LatticeSimplex(vertices=((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1)), "
-        "perm=Permutation(images=(1, 3, 2)))",
-    ),
-    "LatticeSimplex-bare": (
-        lambda: LatticeSimplex(((0, 0), (1, 0), (1, 1))),
-        "LatticeSimplex(vertices=((0, 0), (1, 0), (1, 1)), perm=None)",
+    "FaceResult-empty": (
+        lambda: face(LpdmSpec.of(2, (), {1}), Facet("coordinate", 2, 1)),
+        "FaceResult(family=SetFamily(ground=(1, 2), members=()), factors=None)",
     ),
     "Subdivision": (
         lambda: subdivide(LpdmSpec.of(3, (), {3})),
-        "Subdivision(parent=LpdmSpec(ground=(1, 2, 3), lower=frozenset(), upper=frozenset({3})), "
-        "cells=(LpdmSpec(ground=(1, 2, 3), lower=frozenset(), upper=frozenset({3})),))",
+        "Subdivision(cells=(LpdmSpec(ground=(1, 2, 3), lower=frozenset(), upper=frozenset({3})),))",
     ),
     "CommandResult": (
         lambda: CommandResult("ok", {"rank": 6}, 0.5, 0),
@@ -102,16 +94,15 @@ FIELDS = {
     Permutation: ("images",),
     HRep: ("n", "lower", "upper"),
     Facet: ("kind", "index", "level"),
-    FaceResult: ("family", "factors", "kind"),
-    LatticeSimplex: ("vertices", "perm"),
-    Subdivision: ("parent", "cells"),
+    FaceResult: ("family", "factors"),
+    Subdivision: ("cells",),
     CommandResult: ("status", "payload", "milliseconds", "exit_code", "log"),
     CheckResult: ("name", "passed", "detail", "seconds"),
 }
 
 
 def test_every_former_dataclass_is_sampled():
-    assert len(FIELDS) == 12
+    assert len(FIELDS) == 11
     assert {type(build()) for build, _ in SAMPLES.values()} == set(FIELDS)
 
 
@@ -195,7 +186,7 @@ def test_cached_properties_on_frozen_instances():
 
 
 def test_internal_builders_skip_the_validating_constructors(monkeypatch):
-    checked = (LatticeSimplex, Permutation, PathWord, HRep, LpdmSpec, SetFamily)
+    checked = (Permutation, PathWord, HRep, LpdmSpec, SetFamily)
 
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built through its validating constructor")
