@@ -8,10 +8,10 @@ when l = 1) happens exactly once for each l in [n]; record at which step
 it happens and call that w(l).
 
 Every descent count here (one descent set, a Gale interval of them, a
-number of descents) comes from one transfer-matrix table over suffixes,
-``_descent_layers``, in O(n^3) integer additions.  A descent set is a
-subset of [n-1] and is read as a ``SubsetMask`` of [n-1], whose member
-rule it follows.  Every n, k and box entry must be an ``int``.
+number of descents) is one transfer-matrix count over suffixes,
+``count_perms_in_descent_box``, in O(n^3) integer additions.  A descent
+set is a subset of [n-1] and is read as a ``SubsetMask`` of [n-1], whose
+member rule it follows.  Every n, k and box entry must be an ``int``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "count_perms_with_descent_set",
     "eulerian_number",
     "permutation_to_chain",
-    "perms_with_descent_set",
 ]
 
 
@@ -71,56 +70,34 @@ def all_permutations(n: int):
     return map(Permutation._trusted, itertools.permutations(range(1, n + 1)))
 
 
-def _descent_layers(lo, hi):
-    """The transfer-matrix table behind every descent count here.
-
-    Permutations are built right to left.  For k = 1, ..., n, yield the
-    layer of suffixes of length k, i.e. positions i = n-k+1, ..., n: a
-    dict sending d to a list whose entry r-1 counts the arrangements of
-    k values in which the first is the r-th smallest, d of the positions
-    i, ..., n-1 are descents, and lo_j <= (descents at positions j, ...,
-    n-1) <= hi_j holds for every j >= i.  Placing a new first value of
-    rank r' above the old first value (rank r < r') makes a descent, so
-    each step is one prefix sum per d (de Bruijn 1970; Stanley, EC1
-    section 1.4), and the whole table costs O(n^3) additions.
-    """
-    n = len(lo)
-    layer = {0: [1]} if lo[n - 1] <= 0 <= hi[n - 1] else {}
-    yield layer
-    for i in range(n - 1, 0, -1):
-        a, b = lo[i - 1], hi[i - 1]
-        nxt: dict[int, list[int]] = {}
-        for d, row in layer.items():
-            below = list(itertools.accumulate(row, initial=0))
-            if a <= d <= b:
-                total = below[-1]
-                _add_row(nxt, d, [total - x for x in below])
-            if a <= d + 1 <= b:
-                _add_row(nxt, d + 1, below)
-        layer = nxt
-        yield layer
-
-
-def _add_row(layer: dict[int, list[int]], d: int, row: list[int]) -> None:
-    old = layer.get(d)
-    layer[d] = row if old is None else [x + y for x, y in zip(old, row)]
-
-
 def count_perms_in_descent_box(lo, hi) -> int:
     """Number of permutations of [n], n = len(lo), whose descent set D
     satisfies lo_i <= |D inter [i, n-1]| <= hi_i for every i in [n].
 
     With lo and hi the profiles of subsets of [n-1] this counts the
     permutations whose descent set lies in that Gale interval.
+
+    Permutations are built right to left: ``layer`` sends d to a list
+    whose entry r-1 counts the suffixes whose first value is the r-th
+    smallest of theirs, with d descents and every suffix count in the
+    box.  A new first value of rank r' above the old one (rank r < r')
+    makes a descent, so each step is one prefix sum per d (de Bruijn
+    1970; Stanley, EC1 section 1.4): O(n^3) additions in all.
     """
     lo, hi = tuple(lo), tuple(hi)
     if len(lo) != len(hi) or any(type(c) is not int for c in lo + hi):
         raise ArgumentError(f"lo and hi must be integer tuples of the same length, got {lo!r} and {hi!r}")
-    if not lo:
-        return 1
-    for layer in _descent_layers(lo, hi):
-        if not layer:
-            return 0
+    zeros = itertools.repeat(0)
+    layer = {0: [1]} if not lo or lo[-1] <= 0 <= hi[-1] else {}
+    for a, b in zip(lo[-2::-1], hi[-2::-1]):
+        nxt: dict[int, list[int]] = {}
+        for d, row in layer.items():  # d ascends, so only d - 1 can have filled nxt[d]
+            below = list(itertools.accumulate(row, initial=0))
+            if a <= d <= b:
+                nxt[d] = [x + below[-1] - y for x, y in zip(nxt.get(d, zeros), below)]
+            if a <= d + 1 <= b:
+                nxt[d + 1] = below
+        layer = nxt
     return sum(sum(row) for row in layer.values())
 
 
@@ -136,40 +113,6 @@ def count_perms_with_descent_set(n: int, dset) -> int:
     """Number of permutations of [n] with descent set exactly ``dset``."""
     prof = _descent_profile(n, dset)
     return count_perms_in_descent_box(prof, prof)
-
-
-def perms_with_descent_set(n: int, dset):
-    """The permutations of [n] with descent set exactly ``dset``, in
-    lexicographic order.
-
-    Values are chosen left to right, and a branch is taken only when the
-    suffix table of ``count_perms_with_descent_set`` counts a completion
-    for it, so no branch dies: the work follows the output, not n!.
-    """
-    prof = _descent_profile(n, dset)
-    return _descent_walk(n, prof) if n else iter((Permutation._trusted(()),))
-
-
-def _descent_walk(n: int, prof):
-    layers = list(_descent_layers(prof, prof))
-    # a state (values left, prefix, r, d): the next value is the r-th
-    # smallest left, and the suffix it starts has d descents; with the
-    # descent set fixed, each layer holds a single d
-    [(d, row)] = layers[-1].items()
-    stack = [(tuple(range(1, n + 1)), (), r, d) for r in range(len(row), 0, -1) if row[r - 1]]
-    while stack:
-        left, prefix, r, d = stack.pop()
-        prefix += (left[r - 1],)
-        left = left[: r - 1] + left[r:]
-        if not left:
-            yield Permutation._trusted(prefix)
-            continue
-        below = layers[len(left) - 1]
-        for r2 in range(len(left), 0, -1):
-            d2 = d - 1 if r2 < r else d
-            row = below.get(d2)
-            if row and row[r2 - 1]:
-                stack.append((left, prefix, r2, d2))
 
 
 def eulerian_number(n: int, k: int) -> int:

@@ -12,12 +12,14 @@ under the volume-preserving change of coordinates
 Each image simplex is unimodular, and all of it lies inside exactly one
 "snake" cell: a polytope with bounds [S, S u {n}] for a unique subset S
 of [n-1] (``simplex_cell``).  Collecting the simplices of a cell
-triangulates it (``triangulate_toric``).  The simplex of w lies in the
-cell of S exactly when w^{-1} has descent set {n - s : s in S}, so a
-linked interval polytope with bounds [S, T], a union of the cells
-[R, R u {n}] for R between S and T minus n (``subdivide``), has volume
-(number of permutations whose descent set lies in that interval) / n!,
-counted in O(n^3) (``volume``).
+triangulates it (``triangulate_toric``): read as subsets, the vertices
+of the simplex of w form a maximal chain of its cell, whose step k
+slides l-1 to l (adjoins 1 when l = 1) for l = n+1-w(n+1-k).  The
+simplex of w lies in the cell of S exactly when w^{-1} has descent set
+{n - s : s in S}, so a linked interval polytope with bounds [S, T], a
+union of the cells [R, R u {n}] for R between S and T minus n
+(``subdivide``), has volume (number of permutations whose descent set
+lies in that interval) / n!, counted in O(n^3) (``volume``).
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from fractions import Fraction
 
 from .errors import DomainError, Frozen
 from .matroid import LpdmSpec
-from .perms import Permutation, count_perms_in_descent_box, perms_with_descent_set
+from .perms import Permutation, count_perms_in_descent_box
 from .polytope import is_linked
-from .subsets import SubsetMask, interval, mask_from_profile
+from .subsets import SubsetMask, _covers, interval, mask_from_profile
 
 __all__ = [
     "Subdivision",
@@ -86,13 +88,21 @@ def is_toric(m: LpdmSpec) -> bool:
 
 def triangulate_toric(m: LpdmSpec) -> list[Permutation]:
     """The permutations w whose Eulerian simplices (``eulerian_simplex``)
-    lie in the given cell, sorted by their images: w = u^{-1} for the u
-    with descent set {n - s : s in S}."""
+    lie in the given cell, sorted by their images: its maximal chains,
+    walked depth first over the covers that stay below S u {n} (the
+    test of ``count_maximal_chains``).  Every branch reaches the top, so
+    the work follows the output."""
     if not is_toric(m):
         raise DomainError("spec is not a toric cell [S, S u {n}]")
-    n = m.n
-    descents = [n - s for s in m.lower_mask().as_tuple()]
-    return sorted((u.inverse() for u in perms_with_descent_set(n, descents)), key=lambda w: w.images)
+    n, top = m.n, m.upper_mask().profile
+    found, stack = [], [(m.lower_mask().bits, ())]
+    while stack:
+        x, w = stack.pop()
+        if len(w) == n:
+            found.append(w)
+        else:  # step k sets bit b = n - w(n+1-k): w grows from its end
+            stack += [(y, (n - b, *w)) for b, y in _covers(x, n) if (y >> b).bit_count() <= top[b]]
+    return [Permutation._trusted(w) for w in sorted(found)]
 
 
 class Subdivision(Frozen):

@@ -46,7 +46,6 @@ from lpdm import (
     hull_membership,
     is_valid_profile,
     mask_from_profile,
-    perms_with_descent_set,
     project_element,
     relabel,
     simplex_volume,
@@ -200,7 +199,6 @@ TABLE = {
     "path_leq": [],
     "path_points": [],
     "permutation_to_chain": [],
-    "perms_with_descent_set": descent_row(perms_with_descent_set),
     "project_element": label_row(project_element, FAMILY),
     "relabel": row(relabel, ((CUBE, (True, 2)), BAD), ((CUBE, (1.0, 2)), BAD), ((CUBE, (1, 2, 3)), BAD)),
     "signed_label_set": [],
@@ -249,9 +247,6 @@ def test_iterators_check_their_arguments_at_the_call():
         lambda: all_subsets(True),
         lambda: all_permutations(-1),
         lambda: all_permutations(2.0),
-        lambda: perms_with_descent_set(-1, ()),
-        lambda: perms_with_descent_set(3, {3}),
-        lambda: perms_with_descent_set(3, {True}),
     ):
         with pytest.raises(ArgumentError):
             call()

@@ -19,7 +19,6 @@ from lpdm import (
     gale_leq,
     is_linked,
     permutation_to_chain,
-    perms_with_descent_set,
     subdivide,
     volume,
 )
@@ -136,16 +135,6 @@ def test_descent_set_counts_match_reference():
     for n in range(1, 8):
         for s in all_subsets(n - 1):
             assert count_perms_with_descent_set(n, s.members) == beta_reference(n, s.members)
-
-
-def test_perms_with_descent_set_match_enumeration():
-    for n in range(0, 7):
-        by_desc = {}
-        for w in all_permutations(n):
-            by_desc.setdefault(w.descent_set().members, []).append(w)
-        for s in all_subsets(max(n - 1, 0)):
-            got = list(perms_with_descent_set(n, s.members))
-            assert got == by_desc.get(s.members, [])
 
 
 def test_volume_matches_reference_cell_sum():

@@ -11,6 +11,7 @@ from lpdm import (
     SubsetMask,
     all_permutations,
     all_subsets,
+    cover_successors,
     ehrhart_volume,
     eulerian_simplex,
     gale_leq,
@@ -74,6 +75,21 @@ def test_simplex_cell_differs_from_both_descents_and_ascents():
     assert simplex_cell(cycled).members != cycled.ascent_set().members
 
 
+def test_eulerian_simplices_are_maximal_chains_of_their_cells():
+    # read as subsets, the vertices of the simplex of w climb by covers from
+    # its cell's bottom S to S u {n}, and step k slides in element n+1-w(n+1-k)
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            verts = eulerian_simplex(w)
+            assert all(c in (0, 1) for v in verts for c in v)
+            chain = [SubsetMask(n, {i for i, c in enumerate(v, start=1) if c}) for v in verts]
+            s = simplex_cell(w).members
+            assert chain[0].members == s and chain[-1].members == s | {n}
+            for k in range(1, n + 1):
+                assert chain[k] in cover_successors(chain[k - 1])
+                assert chain[k].members - chain[k - 1].members == {n + 1 - w.images[n - k]}
+
+
 def test_is_toric():
     assert is_toric(LpdmSpec.of(3, {1}, {1, 3}))
     assert is_toric(LpdmSpec.of(3, (), {3}))
@@ -90,12 +106,15 @@ def test_triangulate_toric_worked():
 
 
 def test_triangulate_toric_matches_label_filter():
-    for n in range(1, 6):
-        perms = list(all_permutations(n))
+    # every permutation with n <= 7 is filed once under the cell of its simplex
+    for n in range(1, 8):
+        by_cell = {}
+        for w in all_permutations(n):
+            by_cell.setdefault(simplex_cell(w).members, []).append(w.images)
+        assert len(by_cell) == 2 ** (n - 1)
         for s in all_subsets(n - 1):
-            want = [w.images for w in perms if simplex_cell(w).members == s.members]
             got = triangulate_toric(LpdmSpec.of(n, s.members, s.members | {n}))
-            assert [w.images for w in got] == want
+            assert [w.images for w in got] == by_cell[s.members]
 
 
 def test_triangulate_toric_is_output_sensitive():

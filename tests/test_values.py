@@ -29,7 +29,6 @@ from lpdm import (
     intersect,
     path_from_subset,
     permutation_to_chain,
-    perms_with_descent_set,
     project_element,
     relabel,
     simplex_cell,
@@ -191,14 +190,14 @@ def test_internal_builders_skip_the_validating_constructors(monkeypatch):
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built through its validating constructor")
 
-    cell = LpdmSpec.of(5, {2}, {2, 5})
+    cell, odd_cell = LpdmSpec.of(5, {2}, {2, 5}), LpdmSpec.of(5, {1, 3}, {1, 3, 5})
     spec, other = LpdmSpec((30, 10, 20, 40), {10}, {20, 40}), LpdmSpec((7, 8), (), {7})
     for cls in checked:
         monkeypatch.setattr(cls, "__init__", refuse)
     perms = list(all_permutations(4))
     cells = [simplex_cell(w) for w in perms]
     built = triangulate_toric(cell) + perms
-    built += [*perms_with_descent_set(5, {2, 4}), *perms_with_descent_set(0, ())]
+    built += [*triangulate_toric(odd_cell), *all_permutations(0)]
     built += [w.inverse() for w in perms]
     built += [chain_to_permutation(permutation_to_chain(w, SubsetMask(4, w.descent_set().members))) for w in perms]
     built += [path_from_subset(s) for s in cells] + [hrep(cell)]
